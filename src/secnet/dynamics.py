@@ -9,6 +9,11 @@ exact transition matrix built as extinction followed by colonisation; the
 variant where colonisation pressure comes from the pre-extinction state is
 available through ``Params.colonisation_source``.
 
+``Kernel`` is the one place the generation map is prepared: it holds the
+adjacency, the colonisation table and the source convention for a
+``(graph, params)`` pair and steps blocks of replicates.  Every simulation
+route, here and in ``rareevent``, advances the chain through it.
+
 States are integer bitmasks (bit ``i`` set means patch ``i`` is occupied);
 state ``0`` is absorbing.  ``step`` and ``simulate`` operate on single
 states, ``estimate_crude`` runs a vectorised batch of replicates with
@@ -29,10 +34,12 @@ from .netgen import Graph
 __all__ = [
     "Estimate",
     "EstimateReport",
+    "Kernel",
     "Params",
     "Trajectory",
     "array_to_state",
     "estimate_crude",
+    "seed_sequence",
     "simulate",
     "state_to_array",
     "step",
@@ -96,40 +103,61 @@ def all_occupied(n: int) -> int:
     return (1 << n) - 1
 
 
-def _colonisation_table(c: float, max_degree: int) -> np.ndarray:
-    """P(colonised | o occupied neighbours) indexed by o."""
-    return 1.0 - (1.0 - c) ** np.arange(max_degree + 1)
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """An int seed or a ``SeedSequence`` as a ``SeedSequence``."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
 
 
-def _step_block(
-    occ: np.ndarray,
-    adjacency: np.ndarray,
-    e: float,
-    pcol: np.ndarray,
-    post_source: bool,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a (reps, n) block one generation.
+@dataclass(frozen=True, eq=False)
+class Kernel:
+    """The generation map of one ``(graph, params)`` pair, prepared once.
 
-    Returns ``(survivors, next_occ)``.  Uniforms are drawn for every patch
-    regardless of occupancy so the stream consumption per generation is
-    fixed.
+    ``pcol[o]`` is the probability that an empty patch with ``o`` occupied
+    neighbours is colonised.  ``post_source`` says whether those neighbours
+    are counted after the extinction phase (default) or before it.
     """
-    u_ext = rng.random(occ.shape)
-    survivors = occ & (u_ext >= e)
-    source = survivors if post_source else occ
-    o = (source @ adjacency).astype(np.intp)
-    u_col = rng.random(occ.shape)
-    colonised = ~survivors & (u_col < pcol[o])
-    return survivors, survivors | colonised
+
+    n: int
+    adjacency: np.ndarray
+    e: float
+    pcol: np.ndarray
+    post_source: bool
+
+    @classmethod
+    def prepare(cls, graph: Graph, params: Params) -> Kernel:
+        max_degree = int(graph.degrees.max()) if graph.n_edges else 0
+        pcol = 1.0 - (1.0 - params.c) ** np.arange(max_degree + 1)
+        return cls(graph.n, graph.adjacency_matrix, params.e, pcol, params.post_source)
+
+    def start(self, z0: int, reps: int) -> np.ndarray:
+        """A writable (reps, n) block with every row in state ``z0``."""
+        return np.broadcast_to(state_to_array(z0, self.n), (reps, self.n)).copy()
+
+    def step(
+        self, occ: np.ndarray, rng: np.random.Generator, e: float | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance a (reps, n) block one generation.
+
+        Returns ``(survivors, next_occ)``.  ``e`` replaces the extinction
+        rate for this generation (importance sampling twists it).  Uniforms
+        are drawn for every patch regardless of occupancy so the stream
+        consumption per generation is fixed.
+        """
+        u_ext = rng.random(occ.shape)
+        survivors = occ & (u_ext >= (self.e if e is None else e))
+        source = survivors if self.post_source else occ
+        o = (source @ self.adjacency).astype(np.intp)
+        u_col = rng.random(occ.shape)
+        colonised = ~survivors & (u_col < self.pcol[o])
+        return survivors, survivors | colonised
 
 
 def step(graph: Graph, params: Params, state: int, rng: np.random.Generator) -> int:
     """One generation from a bitmask state; returns the next bitmask."""
-    occ = state_to_array(state, graph.n)[None, :]
-    pcol = _colonisation_table(params.c, int(graph.degrees.max()) if graph.n_edges else 0)
-    _, nxt = _step_block(occ, graph.adjacency_matrix, params.e, pcol,
-                         params.post_source, rng)
+    kernel = Kernel.prepare(graph, params)
+    _, nxt = kernel.step(kernel.start(state, 1), rng)
     return array_to_state(nxt[0])
 
 
@@ -167,16 +195,15 @@ def simulate(
     """
     if n_gen < 0:
         raise ValueError("n_gen must be >= 0")
-    occ = state_to_array(z0, graph.n)[None, :]
-    pcol = _colonisation_table(params.c, int(graph.degrees.max()) if graph.n_edges else 0)
-    adjacency = graph.adjacency_matrix
+    kernel = Kernel.prepare(graph, params)
+    occ = kernel.start(z0, 1)
     states = [z0]
     state = z0
     for t in range(n_gen):
         if state == 0:
             states.extend([0] * (n_gen - t))
             break
-        _, occ = _step_block(occ, adjacency, params.e, pcol, params.post_source, rng)
+        _, occ = kernel.step(occ, rng)
         state = array_to_state(occ[0])
         states.append(state)
     return Trajectory(graph.n, tuple(states))
@@ -200,11 +227,6 @@ class Estimate:
     method: str
     n_work: int
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def clamped(self) -> float:
-        """Display helper; estimators always report the raw value."""
-        return min(1.0, max(0.0, self.value))
 
 
 @dataclass(frozen=True)
@@ -245,13 +267,9 @@ def estimate_crude(
         raise ValueError("n_reps must be >= 1")
     if n_gen < 0:
         raise ValueError("n_gen must be >= 0")
-    n = graph.n
-    z0_arr = state_to_array(z0, n)
-    adjacency = graph.adjacency_matrix
-    pcol = _colonisation_table(params.c, int(graph.degrees.max()) if graph.n_edges else 0)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    kernel = Kernel.prepare(graph, params)
     n_blocks = -(-n_reps // BLOCK_REPS)
-    streams = ss.spawn(n_blocks)
+    streams = seed_sequence(seed).spawn(n_blocks)
 
     alive = np.zeros(n_gen + 1, dtype=np.int64)
     occ_sum = np.zeros(n_gen + 1, dtype=np.float64)
@@ -260,13 +278,13 @@ def estimate_crude(
     for b in range(n_blocks):
         reps = min(BLOCK_REPS, n_reps - b * BLOCK_REPS)
         rng = np.random.default_rng(streams[b])
-        occ = np.broadcast_to(z0_arr, (reps, n)).copy()
+        occ = kernel.start(z0, reps)
         counts = occ.sum(axis=1)
         alive[0] += int((counts > 0).sum())
         occ_sum[0] += float(counts.sum())
         t_stop = n_gen
         for t in range(1, n_gen + 1):
-            _, occ = _step_block(occ, adjacency, params.e, pcol, params.post_source, rng)
+            _, occ = kernel.step(occ, rng)
             counts = occ.sum(axis=1)
             alive[t] += int((counts > 0).sum())
             occ_sum[t] += float(counts.sum())

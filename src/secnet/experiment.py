@@ -409,18 +409,25 @@ def variance_decomposition(
     """Balanced factorial ANOVA decomposition of a response.
 
     Factors are e, c, edge budget and topology (those with at least two
-    levels among the rows).  The design must be complete and balanced:
-    every factor-level combination present with the same replicate count.
-    Rows carrying errors are rejected.
+    levels among the rows).  When the e and c levels pair one-to-one, as
+    in ``ec_pairs`` designs that move both rates together, they enter as
+    a single ``rates`` factor: a crossed e x c grid would have only its
+    diagonal present.  The design must be complete and balanced: every
+    factor-level combination present with the same replicate count.  Rows
+    carrying errors are rejected.
     """
     if not rows:
         raise ValueError("no rows")
     bad = [r for r in rows if r.error]
     if bad:
         raise ValueError(f"{len(bad)} rows carry errors; decomposition needs a clean run")
+    n_pairs = len({(r.e, r.c) for r in rows})
+    if n_pairs > 1 and len({r.e for r in rows}) == len({r.c for r in rows}) == n_pairs:
+        rate_factors = {"rates": lambda r: (r.e, r.c)}
+    else:
+        rate_factors = {"e": lambda r: r.e, "c": lambda r: r.c}
     factor_of = {
-        "e": lambda r: r.e,
-        "c": lambda r: r.c,
+        **rate_factors,
         "edges": lambda r: r.n_edges,
         "topology": lambda r: r.topology,
     }

@@ -46,9 +46,7 @@ __all__ = [
     "gen_pref_attach",
     "graph_metrics",
     "leading_adjacency_eigenvalue",
-    "read_edge_list",
     "read_graph_json",
-    "write_edge_list",
     "write_graph_json",
 ]
 
@@ -607,22 +605,3 @@ def read_graph_json(path: str | Path) -> Graph:
     payload = json.loads(Path(path).read_text())
     return Graph(int(payload["n"]), tuple((int(u), int(v)) for u, v in payload["edges"]))
 
-
-def write_edge_list(graph: Graph, path: str | Path) -> None:
-    """Plain text, one ``u v`` pair per line (node count is implied)."""
-    lines = [f"{u} {v}" for u, v in graph.edges]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
-    """Read an edge list; ``n`` defaults to the largest node index + 1."""
-    edges = []
-    for line in Path(path).read_text().split("\n"):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        u, v = line.split()
-        edges.append((int(u), int(v)))
-    if n is None:
-        n = max(max(e) for e in edges) + 1 if edges else 1
-    return Graph(n, tuple(edges))

@@ -1,7 +1,9 @@
 """Rare-event estimators for extinction and persistence probabilities.
 
 Three complementary estimators, all unbiased for their target and all
-reporting a standard error from independent replication:
+reporting a standard error from independent replication.  Each one steps
+the chain through ``dynamics.Kernel``, the one place the generation map is
+prepared:
 
 * ``ips_persistence`` -- an interacting particle system for small
   persistence probabilities: dead particles are regenerated onto uniformly
@@ -9,8 +11,7 @@ reporting a standard error from independent replication:
   product over generations of the surviving fractions ``1 - #E_t``.  (The
   product of the death fractions themselves, sometimes quoted as an
   extinction estimator, is not one: dying by the horizon means dying in
-  *some* generation, not in all of them.  It can be recorded for
-  inspection via ``record_literal_death_product``.)
+  *some* generation, not in all of them.)
 * ``is_extinction`` -- importance sampling for small extinction
   probabilities: the extinction phase runs at twisted rates ``e_t`` and
   each trajectory carries the likelihood ratio
@@ -31,14 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    BLOCK_REPS,
-    Estimate,
-    Params,
-    _colonisation_table,
-    _step_block,
-    state_to_array,
-)
+from .dynamics import BLOCK_REPS, Estimate, Kernel, Params, seed_sequence
 from .netgen import Graph
 
 __all__ = [
@@ -59,12 +53,6 @@ class WorkCapExceeded(RuntimeError):
     too wide (or the event is impossible under the given parameters)."""
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 # ---------------------------------------------------------------------------
 # interacting particle system
 # ---------------------------------------------------------------------------
@@ -77,7 +65,6 @@ def ips_persistence(
     n_particles: int,
     seed,
     n_batches: int = 20,
-    record_literal_death_product: bool = False,
 ) -> Estimate:
     """Persistence probability by particle regeneration.
 
@@ -91,29 +78,23 @@ def ips_persistence(
         raise ValueError("n_particles must be >= 2")
     if n_batches < 2:
         raise ValueError("n_batches must be >= 2")
-    n = graph.n
-    z0_arr = state_to_array(z0, n)
-    adjacency = graph.adjacency_matrix
-    pcol = _colonisation_table(params.c, int(graph.degrees.max()) if graph.n_edges else 0)
-    streams = _seed_sequence(seed).spawn(n_batches)
+    kernel = Kernel.prepare(graph, params)
+    streams = seed_sequence(seed).spawn(n_batches)
 
     estimates = np.empty(n_batches)
-    literal = np.empty(n_batches)
     death_fractions = np.zeros((n_batches, n_gen))
     degenerate = 0
     for b in range(n_batches):
         rng = np.random.default_rng(streams[b])
-        occ = np.broadcast_to(z0_arr, (n_particles, n)).copy()
+        occ = kernel.start(z0, n_particles)
         product = 1.0
-        literal_product = 1.0
         for t in range(n_gen):
-            _, occ = _step_block(occ, adjacency, params.e, pcol, params.post_source, rng)
+            _, occ = kernel.step(occ, rng)
             dead = ~occ.any(axis=1)
             n_dead = int(dead.sum())
             frac = n_dead / n_particles
             death_fractions[b, t] = frac
             product *= 1.0 - frac
-            literal_product *= frac
             if n_dead == n_particles:
                 product = 0.0
                 degenerate += 1
@@ -123,7 +104,6 @@ def ips_persistence(
                 picks = donors[rng.integers(0, len(donors), size=n_dead)]
                 occ[np.flatnonzero(dead)] = occ[picks]
         estimates[b] = product
-        literal[b] = literal_product
     value = float(estimates.mean())
     se = float(estimates.std(ddof=1) / math.sqrt(n_batches))
     diag = {
@@ -133,8 +113,6 @@ def ips_persistence(
     }
     if degenerate:
         diag["note"] = "some batches lost every particle; consider more particles"
-    if record_literal_death_product:
-        diag["literal_death_product"] = float(literal.mean())
     return Estimate(value, se, "ips", n_batches * n_particles * n_gen, diag)
 
 
@@ -191,17 +169,14 @@ def is_extinction(
         raise ValueError(f"schedule has {len(schedule)} rates for {n_gen} generations")
     if n_sims < 2:
         raise ValueError("n_sims must be >= 2")
-    n = graph.n
-    z0_arr = state_to_array(z0, n)
-    adjacency = graph.adjacency_matrix
-    pcol = _colonisation_table(params.c, int(graph.degrees.max()) if graph.n_edges else 0)
+    kernel = Kernel.prepare(graph, params)
     e = params.e
     log_ratios = [
         (math.log(e) - math.log(et), math.log1p(-e) - math.log1p(-et))
         for et in schedule.rates
     ]
     n_blocks = -(-n_sims // BLOCK_REPS)
-    streams = _seed_sequence(seed).spawn(n_blocks)
+    streams = seed_sequence(seed).spawn(n_blocks)
 
     w_sum = 0.0
     w_sq_sum = 0.0
@@ -211,14 +186,13 @@ def is_extinction(
     for b in range(n_blocks):
         reps = min(BLOCK_REPS, n_sims - b * BLOCK_REPS)
         rng = np.random.default_rng(streams[b])
-        occ = np.broadcast_to(z0_arr, (reps, n)).copy()
+        occ = kernel.start(z0, reps)
         logw = np.zeros(reps)
         for t in range(n_gen):
             k = occ.sum(axis=1)  # occupied before the extinction phase
             if not k.any():
                 break  # all absorbed; every remaining ratio is one
-            survivors, occ = _step_block(occ, adjacency, schedule.rates[t],
-                                         pcol, params.post_source, rng)
+            survivors, occ = kernel.step(occ, rng, schedule.rates[t])
             s = survivors.sum(axis=1)
             d = k - s
             ld, ls = log_ratios[t]
@@ -289,10 +263,7 @@ def _batch_crossings(
     states: np.ndarray,
     threshold: int,
     n_gen: int,
-    adjacency: np.ndarray,
-    e: float,
-    pcol: np.ndarray,
-    post_source: bool,
+    kernel: Kernel,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate a batch of attempts; report each one's first generation with
@@ -309,7 +280,7 @@ def _batch_crossings(
         if not pending.any():
             break
         stepping = pending & (starts < t)
-        _, stepped = _step_block(occ, adjacency, e, pcol, post_source, rng)
+        _, stepped = kernel.step(occ, rng)
         occ = np.where(stepping[:, None], stepped, occ)
         hit = stepping & (occ.sum(axis=1) <= threshold)
         if hit.any():
@@ -346,17 +317,16 @@ def split_extinction(
     """
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
-    n = graph.n
-    z0_arr = state_to_array(z0, n)
-    if not z0_arr.any():
-        raise ValueError("z0 must have at least one occupied patch")
-    adjacency = graph.adjacency_matrix
-    pcol = _colonisation_table(params.c, int(graph.degrees.max()) if graph.n_edges else 0)
-    levels = list(config.thresholds) + [0]
-    if levels[0] >= int(z0_arr.sum()):
-        raise ValueError("top threshold must lie below the initial occupancy")
-    streams = _seed_sequence(seed).spawn(n_replications)
+    kernel = Kernel.prepare(graph, params)
     ns = config.n_success
+    start_z = kernel.start(z0, ns)
+    z0_count = int(start_z[0].sum())
+    if not z0_count:
+        raise ValueError("z0 must have at least one occupied patch")
+    levels = list(config.thresholds) + [0]
+    if levels[0] >= z0_count:
+        raise ValueError("top threshold must lie below the initial occupancy")
+    streams = seed_sequence(seed).spawn(n_replications)
 
     estimates = np.empty(n_replications)
     level_attempts = np.zeros((n_replications, len(levels)), dtype=np.int64)
@@ -364,14 +334,14 @@ def split_extinction(
     for rep in range(n_replications):
         rng = np.random.default_rng(streams[rep])
         pool_t = np.zeros(ns, dtype=np.int64)
-        pool_z = np.broadcast_to(z0_arr, (ns, n)).copy()
+        pool_z = start_z
         value = 1.0
         for m, threshold in enumerate(levels):
             # Attempts are drawn and simulated in batches but consumed in
             # order: k counts attempts up to and including the ns-th
             # success, exactly as if they ran one at a time.
             succ_t = np.empty(ns, dtype=np.int64)
-            succ_z = np.empty((ns, n), dtype=bool)
+            succ_z = np.empty((ns, kernel.n), dtype=bool)
             found = 0
             k = 0
             while found < ns:
@@ -383,8 +353,7 @@ def split_extinction(
                 batch = min(_ATTEMPT_BATCH, max_attempts_per_level - k)
                 picks = rng.integers(0, ns, size=batch)
                 crossed, ct, cz = _batch_crossings(
-                    pool_t[picks], pool_z[picks], threshold, n_gen,
-                    adjacency, params.e, pcol, params.post_source, rng)
+                    pool_t[picks], pool_z[picks], threshold, n_gen, kernel, rng)
                 for i in range(batch):
                     k += 1
                     if crossed[i]:

@@ -1,6 +1,9 @@
-"""Kernel-level tests: one-step law, trajectories, crude Monte Carlo."""
+"""Kernel-level tests: one-step law, trajectories, crude Monte Carlo, the
+pinned RNG protocol and the kernel's module boundary."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,13 @@ from secnet.dynamics import (
     write_trajectory_csv,
 )
 from secnet.netgen import Graph
+from secnet.rareevent import (
+    SplittingConfig,
+    default_twist_schedule,
+    ips_persistence,
+    is_extinction,
+    split_extinction,
+)
 
 
 P2 = Graph(2, ((0, 1),))
@@ -233,3 +243,86 @@ def test_report_csv(tmp_path):
     first = lines[1].split(",")
     assert float(first[1]) == 1.0
     assert float(first[2]) == 2.0
+
+
+# ---------------------------------------------------------------------------
+# RNG protocol v1
+# ---------------------------------------------------------------------------
+
+G6 = Graph(6, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)))
+
+# Fixed-seed outputs of RNG protocol v1, one entry per colonisation source.
+# They pin which sample each route draws, not only its law: a refactor of
+# the kernel or of an estimator must reproduce them bit for bit, and a
+# deliberate protocol change must get a new version rather than new values.
+PROTOCOL_V1 = {
+    "post-extinction": {
+        "crude": (0.9297153024911032, 0.007624690577992279,
+                  3.9955516014234878, 0.05195311779486412,
+                  4.297607655502392, 0.043352641440421336),
+        "persistence_series": (1.0, 1.0, 0.9919928825622776, 0.9786476868327402,
+                               0.9608540925266904, 0.9297153024911032),
+        "occupancy_series": (6.0, 5.1361209964412815, 4.627224199288256,
+                             4.364768683274021, 4.114768683274021, 3.9955516014234878),
+        "conditional_occupancy_series": (6.0, 5.1361209964412815, 4.66457399103139,
+                                         4.46, 4.282407407407407, 4.297607655502392),
+        "simulate": (45, 53, 60, 62, 52, 47, 47, 63, 31, 26, 11, 15, 13),
+        "ips": (0.5201408288041205, 0.035953637009514955),
+        "is": (0.04775819601231724, 0.005955430861086739),
+        "split": (0.06841867228880959, 0.01451425332968939),
+    },
+    "pre-extinction": {
+        "crude": (0.9991103202846975, 0.0008892838622393913,
+                  5.05338078291815, 0.029125981556804292,
+                  5.057880676758682, 0.02880190661005617),
+        "persistence_series": (1.0, 1.0, 1.0, 1.0, 1.0, 0.9991103202846975),
+        "occupancy_series": (6.0, 5.406583629893238, 5.1788256227758005,
+                             5.1263345195729535, 5.038256227758007, 5.05338078291815),
+        "conditional_occupancy_series": (6.0, 5.406583629893238, 5.1788256227758005,
+                                         5.1263345195729535, 5.038256227758007,
+                                         5.057880676758682),
+        "simulate": (45, 53, 60, 62, 53, 47, 47, 63, 31, 27, 11, 15, 13),
+        "ips": (0.9563761599999999, 0.025094730662277846),
+        "is": (0.003502553472203093, 0.0011207010010518173),
+        "split": (0.002957205492872388, 0.00029436110417731227),
+    },
+}
+
+
+def test_rng_protocol_v1_outputs_are_pinned():
+    full = all_occupied(6)
+    for source, want in PROTOCOL_V1.items():
+        crude_params = Params(0.3, 0.4, source)
+        rare_params = Params(0.2, 0.3, source)
+        r = estimate_crude(G6, crude_params, full, 5, BLOCK_REPS + 100, seed=2024)
+        got_crude = tuple(float(x) for est in (r.persistence, r.occupancy,
+                                               r.conditional_occupancy)
+                          for x in (est.value, est.se))
+        assert got_crude == want["crude"], source
+        assert tuple(r.persistence_series) == want["persistence_series"], source
+        assert tuple(r.occupancy_series) == want["occupancy_series"], source
+        assert tuple(r.conditional_occupancy_series) == \
+            want["conditional_occupancy_series"], source
+        traj = simulate(G6, crude_params, 0b101101, 12, np.random.default_rng(7))
+        assert traj.states == want["simulate"], source
+        ips = ips_persistence(G6, Params(0.35, 0.3, source), full, 10, 50,
+                              seed=3, n_batches=4)
+        assert (ips.value, ips.se) == want["ips"], source
+        is_ = is_extinction(G6, rare_params, full, 8,
+                            default_twist_schedule(0.2, 8), 300, seed=4)
+        assert (is_.value, is_.se) == want["is"], source
+        sp = split_extinction(G6, rare_params, full, 10, SplittingConfig((4, 2), 10),
+                              seed=5, n_replications=3)
+        assert (sp.value, sp.se) == want["split"], source
+
+
+def test_no_module_imports_another_modules_private_names():
+    # The kernel is reached through ``Kernel``; a private helper imported
+    # across modules is a second, unowned copy of the generation map.
+    offenders = []
+    for path in sorted(Path(__file__).parents[1].glob("src/secnet/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                offenders += [f"{path.name}: from .{node.module} import {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert not offenders, offenders

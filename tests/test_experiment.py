@@ -305,6 +305,24 @@ def test_anova_logit_response_clamps_boundary_values():
     assert ss["e"] == pytest.approx(4 * edge**2, rel=1e-9)
 
 
+def test_anova_enters_paired_rates_as_one_factor():
+    # scenario-preset shape: (e, e / 5) pairs crossed with two topologies;
+    # e and c as separate factors would fill 6 of 18 cells
+    rows, cell = [], 0
+    for e in (0.1, 0.5, 0.8):
+        for topo in ("ER", "PA"):
+            for rep in range(3):
+                rows.append(synth_row(cell, rep, e, e / 5, 263, topo,
+                                      pers=1.0 - e + (0.2 if topo == "PA" else 0.0)
+                                      + 0.01 * rep))
+            cell += 1
+    vt = variance_decomposition(rows, response="persistence")
+    shares = {name: share for name, _, share in vt.terms}
+    assert list(shares) == ["rates", "topology", "rates:topology"]
+    assert shares["rates"] > shares["topology"] > 0.0
+    assert sum(shares.values()) + vt.residual_share == pytest.approx(1.0, abs=1e-12)
+
+
 def test_anova_shares_sum_to_one_on_a_real_run():
     rows = run_factorial(small_design(topologies=(ER, LAT)))
     vt = variance_decomposition(rows, response="occupancy")

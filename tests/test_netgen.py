@@ -96,25 +96,6 @@ def test_graph_json_round_trip(tmp_path):
     assert back.fingerprint() == g.fingerprint()
 
 
-def test_edge_list_round_trip_with_comments(tmp_path):
-    g = cycle_graph(5)
-    path = tmp_path / "g.edges"
-    netgen.write_edge_list(g, path)
-    text = path.read_text()
-    shuffled = "# cycle on five nodes\n" + "\n".join(
-        reversed([ln for ln in text.splitlines() if ln and not ln.startswith("#")]))
-    path.write_text(shuffled + "\n")
-    back = netgen.read_edge_list(path)
-    assert back.edges == g.edges
-
-
-def test_edge_list_isolated_node_needs_explicit_n(tmp_path):
-    path = tmp_path / "g.edges"
-    path.write_text("0 1\n")
-    assert netgen.read_edge_list(path).n == 2
-    assert netgen.read_edge_list(path, n=4).n == 4
-
-
 # ---------------------------------------------------------------------------
 # density helper
 # ---------------------------------------------------------------------------

@@ -63,18 +63,6 @@ def test_ips_matches_exact_chain():
     assert abs(est.value - truth) < 4 * est.se
 
 
-def test_ips_literal_death_product_is_recorded_not_returned():
-    params = Params(0.35, 0.3)
-    plain = ips_persistence(ER6, params, all_occupied(6), 12, 100, seed=63)
-    assert "literal_death_product" not in plain.diagnostics
-    with_flag = ips_persistence(ER6, params, all_occupied(6), 12, 100, seed=63,
-                                record_literal_death_product=True)
-    assert with_flag.value == plain.value
-    literal = with_flag.diagnostics["literal_death_product"]
-    # the per-generation death-count product is not a probability estimate
-    assert literal != pytest.approx(1.0 - with_flag.value, abs=0.05)
-
-
 def test_ips_validation_and_determinism():
     with pytest.raises(ValueError):
         ips_persistence(P1, Params(0.5, 0.5), 1, 5, 1, seed=0)
