@@ -153,8 +153,9 @@ def cmd_exact(args) -> int:
         exact.write_qsd_csv(res, args.qsd)
         print(f"lambda1 = {res.lambda1:.12g}")
         print(f"lambda2_abs = {res.lambda2_abs:.12g}")
-        occ = exact._popcounts(1 << graph.n, graph.n)[1:]
-        print(f"qsd_mean_occ = {float(res.alpha @ occ):.10g}")
+        print(f"qsd_mean_occ = {res.mean_occ:.10g}")
+        print(f"qsd_residual = {res.residual:.3g}")
+        print(f"qsd_iterations = {res.iterations}")
     if args.mean_time:
         mt = exact.mean_extinction_time(tm, z0)
         print(f"mean_extinction_time = {mt:.10g}")

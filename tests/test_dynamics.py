@@ -317,12 +317,19 @@ def test_rng_protocol_v1_outputs_are_pinned():
 
 
 def test_no_module_imports_another_modules_private_names():
-    # The kernel is reached through ``Kernel``; a private helper imported
-    # across modules is a second, unowned copy of the generation map.
+    # The kernel is reached through ``Kernel`` and the exact chain's state
+    # encoding stays inside ``exact``; a private helper reached from another
+    # module, by import or as ``module._name``, is a second, unowned copy.
+    paths = sorted(Path(__file__).parents[1].glob("src/secnet/*.py"))
+    modules = {path.stem for path in paths}
     offenders = []
-    for path in sorted(Path(__file__).parents[1].glob("src/secnet/*.py")):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and node.level and node.module:
                 offenders += [f"{path.name}: from .{node.module} import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules - {path.stem}
+                  and node.attr.startswith("_") and not node.attr.startswith("__")):
+                offenders.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert not offenders, offenders

@@ -1,5 +1,6 @@
 """Exact chain tests against closed forms and brute-force enumeration."""
 
+import dataclasses
 import math
 import warnings
 
@@ -99,6 +100,28 @@ def test_dense_caps():
     with pytest.raises(ValueError):
         build_transition(gen_erdos_renyi(15, 16, np.random.default_rng(23)),
                          Params(0.5, 0.5), cap=15)
+
+
+def test_no_dense_extinction_or_generation_matrix_on_any_propagation_path(monkeypatch):
+    g = gen_erdos_renyi(6, 9, np.random.default_rng(37))
+    params = Params(0.3, 0.25)
+    tm = build_transition(g, params)
+    fields = [getattr(tm, f.name) for f in dataclasses.fields(tm)]
+    assert sum(isinstance(a, np.ndarray) and a.shape == (64, 64) for a in fields) <= 1
+    with pytest.warns(ResourceWarning, match=r"8192 x 8192 colonisation matrix \(~0\.5 GB\)"):
+        exact._check_cap(13, 13)
+
+    def refuse(self):
+        raise AssertionError("a dense E or M was built on a propagation path")
+
+    monkeypatch.setattr(exact.TransitionMatrices, "E", property(refuse))
+    monkeypatch.setattr(exact.TransitionMatrices, "M", property(refuse))
+    z0 = all_occupied(6)
+    assert 0.0 < finite_horizon(tm, z0, 20).p_extinct[-1] < 1.0
+    assert qsd(tm).residual <= 1e-8
+    hm = extinction_heatmap(g, [0.3], [0.25], n_gen=20, method="exact")
+    assert 0.0 < hm.p_extinct[0, 0] < 1.0
+    assert 0.0 < finite_horizon_matrix_free(g, params, z0, 20).p_extinct[-1] < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +320,16 @@ def test_heatmap_monotone_in_both_rates():
     assert np.all(np.diff(hm.p_extinct, axis=0) >= -1e-12)  # worse with e
     assert np.all(np.diff(hm.p_extinct, axis=1) <= 1e-12)   # better with c
     assert np.allclose(hm.contour_c, e_grid / hm.lambda1, atol=1e-12)
+
+
+def test_heatmap_cells_are_finite_horizons():
+    g = gen_erdos_renyi(6, 9, np.random.default_rng(38))
+    e_grid, c_grid, z0 = (0.1, 0.4, 0.7), (0.05, 0.3), 0b101101
+    hm = extinction_heatmap(g, e_grid, c_grid, n_gen=25, z0=z0, method="exact")
+    for i, e in enumerate(e_grid):
+        for j, c in enumerate(c_grid):
+            table = finite_horizon(build_transition(g, Params(e, c)), z0, 25)
+            assert hm.p_extinct[i, j] == pytest.approx(table.p_extinct[-1], abs=1e-12)
 
 
 def test_heatmap_sim_agrees_with_exact():
