@@ -15,7 +15,6 @@ missing or malformed, 4 when a computation fails or is refused.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import __version__, exact, experiment, meanfield, netgen, rareevent
 from .dynamics import Params, all_occupied, estimate_crude, simulate, \
-    write_report_csv, write_trajectory_csv
+    write_csv, write_report_csv, write_trajectory_csv
 
 EXIT_INPUT = 3
 EXIT_COMPUTE = 4
@@ -56,25 +55,11 @@ def _parse_state(text: str, n: int) -> int:
     return state
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def _write_json(path: str | Path, payload: dict) -> None:
+    # numpy arrays and scalars convert through ``tolist``; ``np.float64``
+    # is a ``float`` and never reaches ``default``.
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
         fh.write("\n")
 
 
@@ -184,25 +169,19 @@ def cmd_simulate(args) -> int:
 
 
 def _write_rare_diagnostics(est, method: str, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        if method == "ips":
-            w.writerow(["t", "mean_death_fraction"])
-            for t, frac in enumerate(est.diagnostics["mean_death_fraction_series"], 1):
-                w.writerow([t, repr(float(frac))])
-        elif method == "is":
-            w.writerow(["weight_log10_lo", "weight_log10_hi", "count"])
-            hist = est.diagnostics.get("weight_log10_histogram")
-            if hist:
-                edges, counts = hist["edges"], hist["counts"]
-                for i, count in enumerate(counts):
-                    w.writerow([repr(edges[i]), repr(edges[i + 1]), count])
-        else:
-            w.writerow(["threshold", "mean_attempts", "first_run_estimate"])
-            d = est.diagnostics
-            for thr, att, lev in zip(d["thresholds"], d["mean_attempts_per_level"],
-                                     d["level_estimates_first_replication"]):
-                w.writerow([thr, repr(float(att)), repr(float(lev))])
+    d = est.diagnostics
+    if method == "ips":
+        write_csv(path, ["t", "mean_death_fraction"],
+                  enumerate(d["mean_death_fraction_series"], 1))
+    elif method == "is":
+        hist = d.get("weight_log10_histogram", {"edges": [], "counts": []})
+        edges = hist["edges"]
+        write_csv(path, ["weight_log10_lo", "weight_log10_hi", "count"],
+                  zip(edges, edges[1:], hist["counts"]))
+    else:
+        write_csv(path, ["threshold", "mean_attempts", "first_run_estimate"],
+                  zip(d["thresholds"], d["mean_attempts_per_level"],
+                      d["level_estimates_first_replication"]))
 
 
 def cmd_rare(args) -> int:
@@ -247,11 +226,8 @@ def cmd_meanfield(args) -> int:
     report = meanfield.mf_threshold(graph, params)
     if args.out:
         traj = meanfield.mf_iterate(graph, params, args.p0, args.gens)
-        with open(args.out, "w", newline="") as fh:
-            fh.write("t," + ",".join(f"p{i}" for i in range(graph.n)) + "\n")
-            for t in range(traj.p.shape[0]):
-                fh.write(str(t) + "," +
-                         ",".join(repr(float(x)) for x in traj.p[t]) + "\n")
+        write_csv(args.out, ["t", *(f"p{i}" for i in range(graph.n))],
+                  ([t, *p] for t, p in enumerate(traj.p)))
     _write_manifest(args, "meanfield", {"report": report.to_dict()})
     for key, val in report.to_dict().items():
         print(f"{key} = {val}")
@@ -275,9 +251,16 @@ def cmd_heatmap(args) -> int:
     return 0
 
 
+def _parse_design(d, source: str) -> experiment.Design:
+    try:
+        return experiment.Design.from_dict(d)
+    except (KeyError, TypeError, ValueError) as err:
+        raise InputError(f"bad {source}: {err}")
+
+
 def _resolve_design(args) -> experiment.Design:
     if getattr(args, "design_inline", None):
-        return experiment.Design.from_dict(args.design_inline)
+        return _parse_design(args.design_inline, "design_inline in the manifest")
     if args.preset:
         try:
             return experiment.preset(args.preset, args.master_seed)
@@ -292,13 +275,10 @@ def _resolve_design(args) -> experiment.Design:
         raise InputError(f"design file not found: {args.design}")
     except json.JSONDecodeError as err:
         raise InputError(f"bad design file {args.design}: {err}")
-    try:
-        design = experiment.Design.from_dict(d)
-    except (KeyError, TypeError, ValueError) as err:
-        raise InputError(f"bad design file {args.design}: {err}")
+    source = f"design file {args.design}"
+    design = _parse_design(d, source)
     if args.master_seed is not None:
-        design = experiment.Design.from_dict(
-            {**design.to_dict(), "master_seed": args.master_seed})
+        design = _parse_design({**design.to_dict(), "master_seed": args.master_seed}, source)
     return design
 
 

@@ -18,12 +18,18 @@ States are integer bitmasks (bit ``i`` set means patch ``i`` is occupied);
 state ``0`` is absorbing.  ``step`` and ``simulate`` operate on single
 states, ``estimate_crude`` runs a vectorised batch of replicates with
 scheduler-independent RNG streams derived from a master seed.
+
+``write_csv`` is the one result-table format: every CSV the package writes
+(here, in ``exact``, ``experiment`` and the CLI) goes through it, with
+``\n`` line ends, floats as ``repr`` of a Python float and ``None`` as an
+empty cell.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,6 +49,7 @@ __all__ = [
     "simulate",
     "state_to_array",
     "step",
+    "write_csv",
     "write_report_csv",
     "write_trajectory_csv",
 ]
@@ -97,6 +104,25 @@ def array_to_state(occ: np.ndarray) -> int:
     for i in np.flatnonzero(occ):
         state |= 1 << int(i)
     return state
+
+
+def _cell(v):
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return "" if v is None else v
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write one result table: a header row, then ``rows``.
+
+    Floats (numpy's included) are written as ``repr(float(v))`` so they
+    round-trip exactly, ``None`` as an empty cell, and anything else as the
+    csv module writes it.  Line ends are ``\n`` on every platform.
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_cell(v) for v in row] for row in rows)
 
 
 def all_occupied(n: int) -> int:
@@ -211,11 +237,8 @@ def simulate(
 
 def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> None:
     """Columns: generation, occupied_count, state_hex."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["generation", "occupied_count", "state_hex"])
-        for t, s in enumerate(trajectory.states):
-            w.writerow([t, s.bit_count(), format(s, "x")])
+    write_csv(path, ["generation", "occupied_count", "state_hex"],
+              ((t, s.bit_count(), format(s, "x")) for t, s in enumerate(trajectory.states)))
 
 
 @dataclass(frozen=True)
@@ -334,13 +357,6 @@ def estimate_crude(
 
 def write_report_csv(report: EstimateReport, path: str | Path) -> None:
     """Per-generation series: t, p_persist, mean_occ, cond_mean_occ."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "p_persist", "mean_occ", "cond_mean_occ"])
-        for t in range(report.n_gen + 1):
-            w.writerow([
-                t,
-                repr(float(report.persistence_series[t])),
-                repr(float(report.occupancy_series[t])),
-                repr(float(report.conditional_occupancy_series[t])),
-            ])
+    write_csv(path, ["t", "p_persist", "mean_occ", "cond_mean_occ"],
+              zip(range(report.n_gen + 1), report.persistence_series,
+                  report.occupancy_series, report.conditional_occupancy_series))

@@ -26,7 +26,6 @@ states by default.  Above that cap the matrix-free horizon (up to
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Params, estimate_crude
+from .dynamics import Params, estimate_crude, write_csv
 from .netgen import ConvergenceError, Graph, leading_adjacency_eigenvalue
 
 __all__ = [
@@ -60,6 +59,9 @@ DENSE_CAP_MAX = 14
 MATRIX_FREE_CAP = 20
 QSD_TOL = 1e-10
 QSD_MAX_ITER = 1_000_000
+# convergence_diagnostics: tail-ratio window and two-scale threshold.
+TAIL_WINDOW = 10
+TWO_SCALE_THRESHOLD = 0.5
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -268,13 +270,7 @@ def finite_horizon(
     return HorizonTable(tm.n, np.arange(n_gen + 1), p0s, persist, occs, cond, tail)
 
 
-def finite_horizon_matrix_free(
-    graph: Graph,
-    params: Params,
-    z0: int,
-    n_gen: int,
-    cap: int = MATRIX_FREE_CAP,
-) -> HorizonTable:
+def finite_horizon_matrix_free(graph: Graph, params: Params, z0: int, n_gen: int) -> HorizonTable:
     """Exact horizon summaries without building any 2**n x 2**n matrix.
 
     ``finite_horizon`` on the operator with no stored ``C``: the extinction
@@ -283,7 +279,7 @@ def finite_horizon_matrix_free(
     ``n = 14`` in traced exact-chain benchmark runs (2-vCPU Xeon VM, one
     BLAS thread), growing as ``3**n``.
     """
-    if graph.n > cap or cap > MATRIX_FREE_CAP:
+    if graph.n > MATRIX_FREE_CAP:
         raise ValueError(f"matrix-free propagation supports n <= {MATRIX_FREE_CAP}")
     return finite_horizon(_operator(graph, params, dense=False), z0, n_gen)
 
@@ -318,37 +314,38 @@ class QsdResult:
         return float(self.alpha @ _popcounts(1 << self.n, self.n)[1:])
 
 
-def _power_left(left, s: int, tol: float, max_iter: int) -> tuple[np.ndarray, float, int]:
+def _power_left(left, s: int) -> tuple[np.ndarray, float, int]:
     x = np.full(s, 1.0 / s)
     lam = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, QSD_MAX_ITER + 1):
         y = left(x)
         lam_new = float(y.sum())
         if lam_new <= 0.0:
             raise ValueError("transient block has no mass; e=1 collapses every state")
         y /= lam_new
-        if abs(lam_new - lam) < tol and np.max(np.abs(y - x)) < tol:
+        if abs(lam_new - lam) < QSD_TOL and np.max(np.abs(y - x)) < QSD_TOL:
             return y, lam_new, it
         x, lam = y, lam_new
-    raise ConvergenceError(f"QSD power iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(f"QSD power iteration did not converge in {QSD_MAX_ITER} steps")
 
 
-def _power_right(right, s: int, tol: float, max_iter: int) -> np.ndarray:
+def _power_right(right, s: int) -> np.ndarray:
     x = np.full(s, 1.0 / math.sqrt(s))
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(QSD_MAX_ITER):
         y = right(x)
         nrm = float(np.linalg.norm(y))
         if nrm == 0.0:
             return x
         y /= nrm
-        if abs(nrm - lam) < tol and np.max(np.abs(y - x)) < tol:
+        if abs(nrm - lam) < QSD_TOL and np.max(np.abs(y - x)) < QSD_TOL:
             return y
         x, lam = y, nrm
-    raise ConvergenceError(f"right eigenvector iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(
+        f"right eigenvector iteration did not converge in {QSD_MAX_ITER} steps")
 
 
-def _lambda2_abs(left, alpha, right, lam1, tol, max_iter) -> float:
+def _lambda2_abs(left, alpha, right, lam1) -> float:
     """Modulus of the subdominant eigenvalue via single deflation.
 
     The deflated product is ``y R - (y . right) (lam1 / <alpha, right>) alpha``.
@@ -374,7 +371,7 @@ def _lambda2_abs(left, alpha, right, lam1, tol, max_iter) -> float:
     y1 = deflated(y0)
     est = 0.0
     stable = 0
-    for _ in range(max_iter):
+    for _ in range(QSD_MAX_ITER):
         n1 = float(np.linalg.norm(y1))
         if n1 < 1e-300:
             return 0.0
@@ -394,7 +391,7 @@ def _lambda2_abs(left, alpha, right, lam1, tol, max_iter) -> float:
         else:
             # iterates are collinear: the dominant direction is real
             est_new = n1 / float(np.linalg.norm(y0))
-        if abs(est_new - est) < max(tol, 1e-13) * (1.0 + est_new):
+        if abs(est_new - est) < QSD_TOL * (1.0 + est_new):
             stable += 1
             if stable >= 3:
                 return est_new
@@ -403,15 +400,11 @@ def _lambda2_abs(left, alpha, right, lam1, tol, max_iter) -> float:
         est = est_new
         y0, y1 = y1 / n1, y2 / n1
     raise ConvergenceError(
-        f"subdominant eigenvalue iteration did not converge in {max_iter} steps"
+        f"subdominant eigenvalue iteration did not converge in {QSD_MAX_ITER} steps"
     )
 
 
-def qsd(
-    tm: TransitionMatrices,
-    tol: float = QSD_TOL,
-    max_iter: int = QSD_MAX_ITER,
-) -> QsdResult:
+def qsd(tm: TransitionMatrices) -> QsdResult:
     """Quasi-stationary distribution of the chain by left power iteration.
 
     Requires ``0 < e < 1`` and ``c > 0`` on a connected graph so that the
@@ -433,10 +426,10 @@ def qsd(
         w = tm.C @ np.concatenate(([0.0], x))
         return _left_extinction_inplace(w, tm.n, tm.e)[1:]
 
-    alpha, lam1, iters = _power_left(left, s, tol, max_iter)
-    right_vec = _power_right(right, s, tol, max_iter)
+    alpha, lam1, iters = _power_left(left, s)
+    right_vec = _power_right(right, s)
     right_vec = right_vec / right_vec.max()
-    lam2 = _lambda2_abs(left, alpha, right_vec, lam1, tol, max_iter)
+    lam2 = _lambda2_abs(left, alpha, right_vec, lam1)
     residual = float(np.max(np.abs(left(alpha) - lam1 * alpha)))
     return QsdResult(tm.n, lam1, alpha, right_vec, lam2, residual, iters)
 
@@ -464,12 +457,13 @@ class ConvergenceReport:
     """How far the horizon behaviour is from its asymptotic regime.
 
     ``tail_ratio_mean`` averages successive persistence ratios over the last
-    window; asymptotically this equals ``lambda1``.  ``tv_to_qsd`` is the
-    total-variation distance between the survival-conditioned distribution
-    at the horizon and the quasi-stationary distribution, with the series
-    over kept generations in ``tv_series``.  ``two_scale_regime`` flags a
-    clean separation between the survival timescale and the mixing
-    timescale: ``(lambda2_abs / lambda1) < threshold * lambda1``.
+    ``TAIL_WINDOW`` generations; asymptotically this equals ``lambda1``.
+    ``tv_to_qsd`` is the total-variation distance between the
+    survival-conditioned distribution at the horizon and the quasi-stationary
+    distribution, with the series over kept generations in ``tv_series``.
+    ``two_scale_regime`` flags a clean separation between the survival
+    timescale and the mixing timescale:
+    ``(lambda2_abs / lambda1) < threshold * lambda1``.
     """
 
     lambda1: float
@@ -482,12 +476,7 @@ class ConvergenceReport:
     threshold: float
 
 
-def convergence_diagnostics(
-    result: QsdResult,
-    table: HorizonTable,
-    window: int = 10,
-    threshold: float = 0.5,
-) -> ConvergenceReport:
+def convergence_diagnostics(result: QsdResult, table: HorizonTable) -> ConvergenceReport:
     """Compare finite-horizon decay against the spectral prediction.
 
     The horizon must cover at least 50 generations so tail ratios mean
@@ -497,7 +486,7 @@ def convergence_diagnostics(
     if n_gen < 50:
         raise ValueError("diagnostics need a horizon of at least 50 generations")
     ratios = []
-    for t in range(n_gen - window + 1, n_gen + 1):
+    for t in range(n_gen - TAIL_WINDOW + 1, n_gen + 1):
         prev = table.p_persist[t - 1]
         if prev > 0.0:
             ratios.append(table.p_persist[t] / prev)
@@ -515,8 +504,8 @@ def convergence_diagnostics(
         tail_ratio_deviation=abs(tail_mean - result.lambda1),
         tv_to_qsd=tv_last,
         tv_series=tv_series,
-        two_scale_regime=bool(ratio < threshold * result.lambda1),
-        threshold=threshold,
+        two_scale_regime=bool(ratio < TWO_SCALE_THRESHOLD * result.lambda1),
+        threshold=TWO_SCALE_THRESHOLD,
     )
 
 
@@ -600,41 +589,23 @@ def extinction_heatmap(
 
 def write_horizon_csv(table: HorizonTable, path: str | Path) -> None:
     """Columns: t, p_extinct, p_persist, mean_occ, cond_mean_occ."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "p_extinct", "p_persist", "mean_occ", "cond_mean_occ"])
-        for t in range(len(table.t)):
-            w.writerow([
-                int(table.t[t]),
-                repr(float(table.p_extinct[t])),
-                repr(float(table.p_persist[t])),
-                repr(float(table.mean_occ[t])),
-                repr(float(table.cond_mean_occ[t])),
-            ])
+    write_csv(path, ["t", "p_extinct", "p_persist", "mean_occ", "cond_mean_occ"],
+              zip(table.t, table.p_extinct, table.p_persist, table.mean_occ,
+                  table.cond_mean_occ))
 
 
 def write_qsd_csv(result: QsdResult, path: str | Path) -> None:
     """Columns: state_hex, alpha (non-empty states in index order)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["state_hex", "alpha"])
-        for z in range(1, (1 << result.n)):
-            w.writerow([format(z, "x"), repr(float(result.alpha[z - 1]))])
+    write_csv(path, ["state_hex", "alpha"],
+              ((format(z, "x"), a) for z, a in enumerate(result.alpha, 1)))
 
 
 def write_heatmap_csv(result: HeatmapResult, path: str | Path,
                       contour_path: str | Path | None = None) -> None:
     """Long-format grid: e, c, p_extinct; optional contour file: e, c_contour."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["e", "c", "p_extinct"])
-        for i, e in enumerate(result.e_grid):
-            for j, c in enumerate(result.c_grid):
-                w.writerow([repr(float(e)), repr(float(c)),
-                            repr(float(result.p_extinct[i, j]))])
+    write_csv(path, ["e", "c", "p_extinct"],
+              ((e, c, result.p_extinct[i, j])
+               for i, e in enumerate(result.e_grid)
+               for j, c in enumerate(result.c_grid)))
     if contour_path is not None:
-        with open(contour_path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["e", "c_contour"])
-            for e, c in zip(result.e_grid, result.contour_c):
-                w.writerow([repr(float(e)), repr(float(c))])
+        write_csv(contour_path, ["e", "c_contour"], zip(result.e_grid, result.contour_c))

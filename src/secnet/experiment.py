@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exact
-from .dynamics import Estimate, Params, all_occupied, estimate_crude
+from .dynamics import Estimate, Params, all_occupied, estimate_crude, write_csv
 from .netgen import TopologySpec, density_to_n_edges, leading_adjacency_eigenvalue
 from .rareevent import default_twist_schedule, ips_persistence, is_extinction
 
@@ -322,12 +322,6 @@ RESULT_COLUMNS = [
 ]
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return "" if v is None else str(v)
-
-
 def write_results_csv(rows: list[ResultRow], path: str | Path,
                       include_runtime: bool = False) -> None:
     """Fixed column order: factors, then estimates, then diagnostics.
@@ -335,11 +329,7 @@ def write_results_csv(rows: list[ResultRow], path: str | Path,
     Runtimes are excluded by default so reruns are byte-identical.
     """
     cols = RESULT_COLUMNS + (["runtime_s"] if include_runtime else [])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        for row in rows:
-            w.writerow([_fmt(getattr(row, c)) for c in cols])
+    write_csv(path, cols, ([getattr(row, c) for c in cols] for row in rows))
 
 
 def read_results_csv(path: str | Path) -> list[ResultRow]:
@@ -499,13 +489,11 @@ def variance_decomposition(
 
 
 def write_variance_csv(table: VarianceTable, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["term", "sum_sq", "share"])
-        for name, ss, share in table.terms:
-            w.writerow([name, repr(ss), repr(share)])
-        w.writerow(["residual", repr(table.residual_ss), repr(table.residual_share)])
-        w.writerow(["total", repr(table.ss_total), repr(1.0 if not table.degenerate else 0.0)])
+    write_csv(path, ["term", "sum_sq", "share"], [
+        *table.terms,
+        ("residual", table.residual_ss, table.residual_share),
+        ("total", table.ss_total, 0.0 if table.degenerate else 1.0),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +656,5 @@ def scenario_compare(
 
 
 def write_comparison_csv(comparisons: list[ComparisonRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["response", "e", "ec_ratio", "ordering"])
-        for c in comparisons:
-            w.writerow([c.response, repr(c.e), repr(c.ec_ratio), c.text])
+    write_csv(path, ["response", "e", "ec_ratio", "ordering"],
+              ((c.response, c.e, c.ec_ratio, c.text) for c in comparisons))

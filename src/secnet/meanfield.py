@@ -40,6 +40,8 @@ CRITICAL_TOL = 1e-9
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITER = 100_000
 DECAY_SLACK = 1e-9
+DECAY_HORIZON = 200
+TAIL_START = 50
 TAIL_WINDOW = 25
 
 
@@ -139,32 +141,26 @@ class ThresholdReport:
         return d
 
 
-def _tail_ratios(graph: Graph, params: Params, n_gen: int, tail_start: int) -> list[float]:
-    traj = mf_iterate(graph, params, 1.0, n_gen)
+def _tail_ratios(graph: Graph, params: Params) -> list[float]:
+    traj = mf_iterate(graph, params, 1.0, DECAY_HORIZON)
     peaks = traj.p.max(axis=1)
     ratios = []
-    for t in range(tail_start, n_gen):
+    for t in range(TAIL_START, DECAY_HORIZON):
         if peaks[t] <= 1e-280:  # keep ratios clear of the denormal floor
             break
         ratios.append(peaks[t + 1] / peaks[t])
     return ratios
 
 
-def mf_threshold(
-    graph: Graph,
-    params: Params,
-    tol: float = FIXED_POINT_TOL,
-    max_iter: int = FIXED_POINT_MAX_ITER,
-    decay_horizon: int = 200,
-    tail_start: int = 50,
-) -> ThresholdReport:
+def mf_threshold(graph: Graph, params: Params,
+                 max_iter: int = FIXED_POINT_MAX_ITER) -> ThresholdReport:
     """Classify the regime and verify the matching asymptotic behaviour.
 
-    Subcritical: iterates the map from all-ones over ``decay_horizon``
-    generations, collects one-step peak ratios from ``tail_start`` on, and
+    Subcritical: iterates the map from all-ones over ``DECAY_HORIZON``
+    generations, collects one-step peak ratios from ``TAIL_START`` on, and
     checks that the last ``TAIL_WINDOW`` of them stay within ``1e-9`` of the
     geometric bound.  Supercritical: iterates to a fixed point (tolerance
-    ``tol``, cap ``max_iter``).
+    ``FIXED_POINT_TOL``, cap ``max_iter``).
     """
     lam1 = leading_adjacency_eigenvalue(graph)
     e, c = params.e, params.c
@@ -187,14 +183,14 @@ def mf_threshold(
     degenerate = False
 
     if regime == "subcritical" and decay_bound is not None:
-        ratios = _tail_ratios(graph, params, decay_horizon, tail_start)
+        ratios = _tail_ratios(graph, params)
         # Only the last few ratios measure the asymptotic rate: right after
         # the burn-in, subdominant modes still inflate single-step ratios a
         # few parts in 1e8 above the geometric bound.
         ratios = ratios[-TAIL_WINDOW:]
         tail_ratio_max = float(max(ratios)) if ratios else 0.0
         decay_verified = bool(tail_ratio_max <= decay_bound + DECAY_SLACK)
-        iterations = decay_horizon
+        iterations = DECAY_HORIZON
     elif regime == "supercritical":
         p = np.ones(graph.n)
         adjacency = graph.adjacency_matrix
@@ -202,12 +198,12 @@ def mf_threshold(
             p_next, _ = _mf_step(p, adjacency, params)
             delta = float(np.max(np.abs(p_next - p)))
             p = p_next
-            if delta < tol:
+            if delta < FIXED_POINT_TOL:
                 iterations = it
                 break
         else:
             raise ConvergenceError(
-                f"fixed-point iteration did not reach tol={tol} in {max_iter} "
+                f"fixed-point iteration did not reach tol={FIXED_POINT_TOL} in {max_iter} "
                 "steps; parameters near e = c(1-e)*lambda1 converge "
                 "sub-geometrically"
             )

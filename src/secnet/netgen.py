@@ -51,9 +51,9 @@ __all__ = [
 ]
 
 # Rejection caps and iteration limits.
-DEFAULT_MAX_DRAWS = 10_000
-DEFAULT_EIG_TOL = 1e-10
-DEFAULT_EIG_MAX_ITER = 100_000
+MAX_DRAWS = 10_000
+EIG_TOL = 1e-10
+EIG_MAX_ITER = 100_000
 
 
 class GenerationError(RuntimeError):
@@ -195,12 +195,7 @@ def density_to_n_edges(density: float, n: int) -> int:
 # generators
 # ---------------------------------------------------------------------------
 
-def gen_erdos_renyi(
-    n: int,
-    n_edges: int,
-    rng: np.random.Generator,
-    max_draws: int = DEFAULT_MAX_DRAWS,
-) -> Graph:
+def gen_erdos_renyi(n: int, n_edges: int, rng: np.random.Generator) -> Graph:
     """Uniform connected graph with exactly ``n_edges`` edges.
 
     The edge set is a uniform draw over all ``n_edges``-subsets of the
@@ -211,17 +206,17 @@ def gen_erdos_renyi(
     Raises
     ------
     GenerationError
-        If no connected draw is found within ``max_draws`` attempts.
+        If no connected draw is found within ``MAX_DRAWS`` attempts.
     """
     _check_counts(n, n_edges)
     uu, vv = np.triu_indices(n, k=1)
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         idx = rng.choice(len(uu), size=n_edges, replace=False)
         ea = np.column_stack((uu[idx], vv[idx]))
         if _edges_connect(n, ea):
             return Graph(n, tuple(map(tuple, ea)))
     raise GenerationError(
-        f"no connected draw in {max_draws} attempts (n={n}, n_edges={n_edges})"
+        f"no connected draw in {MAX_DRAWS} attempts (n={n}, n_edges={n_edges})"
     )
 
 
@@ -238,7 +233,6 @@ def gen_community(
     n_communities: int,
     intra_inter_ratio: float,
     rng: np.random.Generator,
-    max_draws: int = DEFAULT_MAX_DRAWS,
 ) -> Graph:
     """Community-structured graph: intra-community pairs are upweighted.
 
@@ -258,7 +252,7 @@ def gen_community(
     uu, vv = np.triu_indices(n, k=1)
     weights = np.where(labels[uu] == labels[vv], float(intra_inter_ratio), 1.0)
     n_pairs = len(uu)
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         if n_edges == n_pairs:
             idx = np.arange(n_pairs)
         else:
@@ -268,7 +262,7 @@ def gen_community(
         if _edges_connect(n, ea):
             return Graph(n, tuple(map(tuple, ea)))
     raise GenerationError(
-        f"no connected draw in {max_draws} attempts "
+        f"no connected draw in {MAX_DRAWS} attempts "
         f"(n={n}, n_edges={n_edges}, k={n_communities})"
     )
 
@@ -465,29 +459,26 @@ def _pa_arrival_counts(n: int, n_edges: int, rng: np.random.Generator) -> list[i
 # spectral / metrics
 # ---------------------------------------------------------------------------
 
-def leading_adjacency_eigenvalue(
-    graph: Graph,
-    tol: float = DEFAULT_EIG_TOL,
-    max_iter: int = DEFAULT_EIG_MAX_ITER,
-) -> float:
+def leading_adjacency_eigenvalue(graph: Graph) -> float:
     """Largest adjacency eigenvalue by power iteration.
 
     Iterates on ``A + I`` so that bipartite graphs (where ``-lambda_1`` is
     also an eigenvalue) still converge, and stops when successive Rayleigh
-    quotients of ``A`` differ by less than ``tol``.
+    quotients of ``A`` differ by less than ``EIG_TOL``.
     """
     a = graph.adjacency_matrix
     x = np.full(graph.n, 1.0 / math.sqrt(graph.n))
     r_prev = math.inf
-    for _ in range(max_iter):
+    for _ in range(EIG_MAX_ITER):
         ax = a @ x
         r = float(x @ ax)
-        if abs(r - r_prev) < tol:
+        if abs(r - r_prev) < EIG_TOL:
             return r
         r_prev = r
         y = ax + x
         x = y / np.linalg.norm(y)
-    raise ConvergenceError(f"power iteration did not reach tol={tol} in {max_iter} steps")
+    raise ConvergenceError(
+        f"power iteration did not reach tol={EIG_TOL} in {EIG_MAX_ITER} steps")
 
 
 @dataclass(frozen=True)
@@ -509,7 +500,7 @@ class GraphMetrics:
         return d
 
 
-def graph_metrics(graph: Graph, tol: float = DEFAULT_EIG_TOL) -> GraphMetrics:
+def graph_metrics(graph: Graph) -> GraphMetrics:
     """Compute density, degree statistics and the leading eigenvalue."""
     deg = graph.degrees
     return GraphMetrics(
@@ -519,7 +510,7 @@ def graph_metrics(graph: Graph, tol: float = DEFAULT_EIG_TOL) -> GraphMetrics:
         degree_sequence=tuple(sorted((int(d) for d in deg), reverse=True)),
         max_degree=int(deg.max()) if graph.n else 0,
         mean_degree=float(deg.mean()),
-        lambda1=leading_adjacency_eigenvalue(graph, tol=tol),
+        lambda1=leading_adjacency_eigenvalue(graph),
         connected=graph.is_connected(),
     )
 
@@ -567,14 +558,12 @@ class TopologySpec:
             return f"PA{p:g}" if p != 1 else "PA"
         return self.kind
 
-    def generate(self, rng: np.random.Generator, max_draws: int = DEFAULT_MAX_DRAWS) -> Graph:
+    def generate(self, rng: np.random.Generator) -> Graph:
         if self.kind == "ER":
-            return gen_erdos_renyi(self.n, self.n_edges, rng, max_draws=max_draws)
+            return gen_erdos_renyi(self.n, self.n_edges, rng)
         if self.kind == "COM":
-            return gen_community(
-                self.n, self.n_edges, self.n_communities, self.intra_inter_ratio,
-                rng, max_draws=max_draws,
-            )
+            return gen_community(self.n, self.n_edges, self.n_communities,
+                                 self.intra_inter_ratio, rng)
         if self.kind == "LAT":
             return gen_lattice(self.n, self.n_edges, rng)
         return gen_pref_attach(self.n, self.n_edges, self.power, rng)

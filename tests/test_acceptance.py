@@ -79,9 +79,10 @@ def test_02_simulation_matches_exact_kernel(capsys):
             tm = exact.build_transition(graph, params)
             v = np.zeros(tm.n_states)
             v[z0] = 1.0
+            m = tm.M  # built on each access
             dists = {}
             for t in range(1, 101):
-                v = v @ tm.M
+                v = v @ m
                 if t in (1, 10, 100):
                     dists[t] = v.copy()
             for t, dist in dists.items():

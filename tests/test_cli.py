@@ -346,6 +346,13 @@ def test_rerun_rejects_bad_manifests(tmp_path, capsys):
     rc = main(["rerun", "--manifest", str(bad)])
     assert rc == EXIT_INPUT
     assert "unknown command" in capsys.readouterr().err
+    # a malformed inline design is a bad input file, not a crash
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps({"command": "experiment", "args": {
+        "design_inline": {"name": "x", "n": 6}, "out": str(tmp_path / "x.csv")}}))
+    rc = main(["rerun", "--manifest", str(inline)])
+    assert rc == EXIT_INPUT
+    assert "design_inline" in capsys.readouterr().err
 
 
 def test_rerun_replays_simulate_manifest(tmp_path, graph_file):

@@ -333,3 +333,21 @@ def test_no_module_imports_another_modules_private_names():
                   and node.attr.startswith("_") and not node.attr.startswith("__")):
                 offenders.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert not offenders, offenders
+
+
+def test_result_tables_have_one_writer():
+    # ``write_csv`` alone fixes the result-table format (line ends, float
+    # and None cells); a ``csv.writer`` anywhere else is a second copy of it.
+    sites = []
+    for path in sorted(Path(__file__).parents[1].glob("src/secnet/*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first: outer functions claim first
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "writer"
+                    and isinstance(node.value, ast.Name) and node.value.id == "csv"):
+                sites.append(f"{path.stem}.{owner.get(node, '<module>')}")
+    assert sites == ["dynamics.write_csv"], sites

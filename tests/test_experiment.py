@@ -438,8 +438,12 @@ def test_scenario_presets_move_rates_together():
 # CSV output
 
 
-def test_results_csv_round_trip(tmp_path):
-    rows = run_factorial(small_design())
+@pytest.mark.parametrize("estimator", ["exact", "crude"])
+def test_results_csv_round_trip(tmp_path, estimator):
+    # Crude rows carry numpy scalars (occupancy, cond_occupancy); they must
+    # be written as plain floats that read back exactly.
+    rows = run_factorial(small_design(estimator=estimator))
+    assert all((r.persistence_method == "exact") == (estimator == "exact") for r in rows)
     path = tmp_path / "rows.csv"
     write_results_csv(rows, path)
     header = path.read_text().splitlines()[0]
