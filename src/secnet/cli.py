@@ -243,6 +243,8 @@ def cmd_heatmap(args) -> int:
         z0=_parse_state(args.z0, graph.n), cap=args.cap,
         method=args.method, n_reps=args.reps, seed=args.seed)
     exact.write_heatmap_csv(result, args.out, contour_path=args.contour)
+    if result.method == "exact":
+        args.seed = None  # the exact grid draws nothing, so no seed determines it
     _write_manifest(args, "heatmap")
     print(f"cells = {result.p_extinct.size}")
     print(f"method = {result.method}")

@@ -6,6 +6,9 @@ files can be asserted directly.
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +90,14 @@ def test_generate_infeasible_exits_4(tmp_path, capsys):
                "--seed", "0", "--out", str(tmp_path / "g.json")])
     assert rc == EXIT_COMPUTE
     assert "error:" in capsys.readouterr().err
+
+
+def test_cheap_imports_do_not_load_scipy():
+    # scipy serves only the exact layer's Krylov solvers and is imported
+    # when they run: importing it up front costs every command start-up.
+    code = "import sys, secnet, secnet.cli; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_version_flag():
@@ -256,6 +267,23 @@ def test_heatmap_writes_grid_and_contour(tmp_path, graph_file, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 9
     assert contour.exists()
+
+
+def test_heatmap_records_a_seed_only_when_it_simulates(tmp_path, graph_file):
+    grid = ["--e-min", "0.1", "--e-max", "0.5", "--e-steps", "2",
+            "--c-min", "0.1", "--c-max", "0.5", "--c-steps", "2", "--gens", "5"]
+    out = tmp_path / "heat.csv"
+    for method in ("auto", "exact"):  # auto takes the exact branch at n = 6
+        manifests = []
+        for _ in range(2):
+            assert main(["heatmap", "--graph", str(graph_file), *grid,
+                         "--method", method, "--out", str(out)]) == 0
+            manifests.append((tmp_path / "heat.csv.manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["args"]["seed"] is None
+    assert main(["heatmap", "--graph", str(graph_file), *grid, "--method", "sim",
+                 "--reps", "50", "--out", str(out)]) == 0
+    assert isinstance(read_manifest(out)["args"]["seed"], int)  # drawn and recorded
 
 
 # ---------------------------------------------------------------------------

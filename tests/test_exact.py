@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from secnet import exact
+from secnet import exact, netgen
+from secnet.cli import EXIT_COMPUTE, main
 from secnet.dynamics import Params, all_occupied, estimate_crude
 from secnet.exact import (
     build_transition,
@@ -18,7 +19,7 @@ from secnet.exact import (
     mean_extinction_time,
     qsd,
 )
-from secnet.netgen import Graph, gen_erdos_renyi
+from secnet.netgen import ConvergenceError, Graph, gen_erdos_renyi
 
 
 P1 = Graph(1, ())
@@ -122,6 +123,7 @@ def test_no_dense_extinction_or_generation_matrix_on_any_propagation_path(monkey
     hm = extinction_heatmap(g, [0.3], [0.25], n_gen=20, method="exact")
     assert 0.0 < hm.p_extinct[0, 0] < 1.0
     assert 0.0 < finite_horizon_matrix_free(g, params, z0, 20).p_extinct[-1] < 1.0
+    assert mean_extinction_time(tm, z0) >= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +236,65 @@ def test_qsd_lambda2_handles_complex_subdominant_pairs():
         ev = np.sort(np.abs(np.linalg.eigvals(tm.R)))
         assert res.lambda2_abs == pytest.approx(ev[-2], abs=1e-8)
         assert res.lambda2_abs < res.lambda1
+
+
+def test_qsd_and_mean_time_match_dense_oracles():
+    g = gen_erdos_renyi(10, netgen.density_to_n_edges(0.3, 10), np.random.default_rng(39))
+    tm = build_transition(g, Params(0.1, 0.05))
+    res = qsd(tm)
+    r = tm.R
+    ev = np.sort(np.abs(np.linalg.eigvals(r)))
+    assert abs(res.lambda1 - ev[-1]) <= 1e-12
+    assert abs(res.lambda2_abs - ev[-2]) <= 1e-12
+    m = np.linalg.solve(np.eye(r.shape[0]) - r, np.ones(r.shape[0]))
+    for z0 in (all_occupied(10), 0b1, 0b1000100010):
+        assert mean_extinction_time(tm, z0) == pytest.approx(m[z0 - 1], rel=1e-10)
+
+
+@pytest.mark.parametrize("e, c", [(0.05, 0.2), (0.05, 0.5)])
+def test_mean_time_matches_dense_solve_in_persistent_chains(e, c):
+    # Mean times of about 4e4 and 3e7 generations.  The residual of a long
+    # mean time cannot fall below rounding of order eps * |x|, and the
+    # forward error of GMRES and of a dense solve alike grows with the
+    # condition number of I - R, about the mean time itself.
+    g = gen_erdos_renyi(8, netgen.density_to_n_edges(0.3, 8), np.random.default_rng(39))
+    tm = build_transition(g, Params(e, c))
+    r = tm.R
+    m = np.linalg.solve(np.eye(r.shape[0]) - r, np.ones(r.shape[0]))
+    assert m.min() >= 1e4
+    for z0 in (all_occupied(8), 0b1, 0b10010):
+        assert mean_extinction_time(tm, z0) == pytest.approx(m[z0 - 1], rel=1e-15 * m[z0 - 1])
+
+
+def test_qsd_is_a_distribution_when_lambda1_rounds_to_one():
+    # Unclipped, the Arnoldi vector puts -7e-19 on a state with almost no mass.
+    spec = netgen.TopologySpec(kind="PA", n=10, power=1.0,
+                               n_edges=netgen.density_to_n_edges(0.3, 10))
+    res = qsd(build_transition(spec.generate(np.random.default_rng(39)), Params(0.01, 0.9)))
+    assert res.alpha.min() >= 0.0
+    assert res.alpha.sum() == pytest.approx(1.0, abs=1e-12)
+    assert res.residual <= 1e-12
+
+
+def test_mean_time_non_convergence_raises(monkeypatch):
+    g = gen_erdos_renyi(8, 13, np.random.default_rng(24))
+    monkeypatch.setattr(exact, "GMRES_RESTART", 1)
+    monkeypatch.setattr(exact, "MEAN_TIME_MAX_CYCLES", 1)
+    with pytest.raises(ConvergenceError):
+        mean_extinction_time(build_transition(g, Params(0.3, 0.25)), all_occupied(8))
+
+
+def test_qsd_non_convergence_raises_and_exits_4(monkeypatch, tmp_path):
+    g = gen_erdos_renyi(8, 13, np.random.default_rng(24))
+    monkeypatch.setattr(exact, "QSD_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError):
+        qsd(build_transition(g, Params(0.3, 0.25)))
+    graph_path = tmp_path / "g.json"
+    netgen.write_graph_json(g, graph_path)
+    rc = main(["exact", "--graph", str(graph_path), "--e", "0.3", "--c", "0.25",
+               "--gens", "5", "--out", str(tmp_path / "h.csv"),
+               "--qsd", str(tmp_path / "q.csv")])
+    assert rc == EXIT_COMPUTE
 
 
 def test_qsd_right_vector_unit_max():
