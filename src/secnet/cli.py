@@ -401,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(x)
     add_rates(x)
     x.add_argument("--gens", type=int, required=True)
-    x.add_argument("--cap", type=int, default=exact.DENSE_CAP_DEFAULT,
-                   help="largest patch count accepted for dense matrices")
+    x.add_argument("--cap", type=int, default=exact.EXACT_CAP_DEFAULT,
+                   help=f"largest patch count accepted (at most {exact.MAX_N})")
     x.add_argument("--out", required=True, help="horizon table CSV")
     x.add_argument("--qsd", default=None, help="also write the quasi-stationary CSV")
     x.add_argument("--mean-time", action="store_true",
@@ -461,7 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--c-steps", type=int, required=True)
     h.add_argument("--gens", type=int, required=True)
     h.add_argument("--method", default="auto", choices=("auto", "exact", "sim"))
-    h.add_argument("--cap", type=int, default=exact.DENSE_CAP_DEFAULT)
+    h.add_argument("--cap", type=int, default=exact.EXACT_CAP_DEFAULT,
+                   help=f"largest patch count for exact (at most {exact.MAX_N}); auto "
+                        "simulates above it")
     h.add_argument("--reps", type=int, default=2000, help="sim replicates per cell")
     h.add_argument("--seed", type=int, default=None)
     h.add_argument("--out", required=True)

@@ -11,25 +11,21 @@ bitmask states, with state 0 absorbing.  One generation is two phases:
   ``1 - (1-c)**o`` where ``o`` counts its occupied neighbours in ``z``.
 
 ``TransitionMatrices`` is that generation as one operator: its ``apply``
-runs the factored extinction and then ``C``, and drives every propagation
-here -- finite horizons and an extinction-probability grid over ``(e, c)``.
-The quasi-stationary distribution (left Perron eigenvector of the
-transient block ``R``) with its spectral diagnostics, and mean extinction
-times, come from Krylov solvers that only call ``apply``: implicitly
-restarted Arnoldi (ARPACK) and GMRES, through ``scipy.sparse.linalg``,
-which is imported only when they run.  The dense ``E``, ``M = E @ C`` and
+runs the factored extinction and then a colonisation sweep over the
+``3**n`` pairs ``(z, z')`` with ``z`` a subset of ``z'``, and drives every
+propagation here -- finite horizons and an extinction-probability grid over
+``(e, c)``.  The quasi-stationary distribution (left Perron eigenvector of
+the transient block ``R``) with its spectral diagnostics, and mean
+extinction times, come from Krylov solvers that only call ``apply`` and
+its transpose: implicitly restarted Arnoldi (ARPACK) and GMRES, through
+``scipy.sparse.linalg``, which is imported only when they run.  No path
+forms a ``2**n x 2**n`` array; the dense ``E``, ``C``, ``M = E @ C`` and
 ``R`` are built only on demand, as test oracles.
-
-``C`` is the one dense ``2**n x 2**n`` array, limited to ``2**n <= 4096``
-states by default.  Above that cap the matrix-free horizon (up to
-``n = 20``) walks each state's empty patches instead; its cost grows like
-``3**n`` per generation, so the last few sizes are slow.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +51,10 @@ __all__ = [
     "write_qsd_csv",
 ]
 
-DENSE_CAP_DEFAULT = 12
-DENSE_CAP_MAX = 14
-MATRIX_FREE_CAP = 20
+# build_transition's default cap, and the largest n of any exact path: a
+# horizon peaked at 2.7 GiB at n = 17, and memory grows 3x per patch.
+EXACT_CAP_DEFAULT = 12
+MAX_N = 17
 # Krylov solvers: ARPACK's relative residual and restart cap for the QSD;
 # for mean times GMRES's backward error (residual relative to the size of
 # the solution), cycle cap and Krylov dimension per cycle.  A cycle of 50
@@ -74,21 +71,10 @@ TWO_SCALE_THRESHOLD = 0.5
 
 
 def _check_cap(n: int, cap: int) -> None:
-    if not 1 <= cap <= DENSE_CAP_MAX:
-        raise ValueError(f"dense state cap must lie in [1, {DENSE_CAP_MAX}]")
+    if not 1 <= cap <= MAX_N:
+        raise ValueError(f"exact state cap must lie in [1, {MAX_N}]")
     if n > cap:
-        raise ValueError(
-            f"n={n} exceeds the dense cap of {cap} patches "
-            f"({2 ** n} states); raise the cap (max {DENSE_CAP_MAX}) or use "
-            "the matrix-free horizon / simulation instead"
-        )
-    if n > DENSE_CAP_DEFAULT:
-        warnings.warn(
-            f"building a dense {2 ** n} x {2 ** n} colonisation matrix "
-            f"(~{(2 ** n) ** 2 * 8 / 1e9:.1f} GB)",
-            ResourceWarning,
-            stacklevel=3,
-        )
+        raise ValueError(f"n={n} exceeds the exact cap {cap}; raise it (max {MAX_N}) or simulate")
 
 
 def _popcounts(n_states: int, n: int) -> np.ndarray:
@@ -100,10 +86,8 @@ def _popcounts(n_states: int, n: int) -> np.ndarray:
 
 
 def _apply_extinction_inplace(v: np.ndarray, n: int, e: float) -> np.ndarray:
-    """v <- v @ E using the per-bit factorisation of the extinction phase.
-
-    ``v`` is C-contiguous; a matrix is acted on row by row.
-    """
+    """v <- v @ E, one patch at a time, for a C-contiguous vector or matrix
+    (acted on row by row)."""
     for i in range(n):
         a = v.reshape(-1, 2, 1 << i)
         a[:, 0, :] += e * a[:, 1, :]
@@ -130,45 +114,35 @@ def _colonisation_probabilities(graph: Graph, c: float) -> np.ndarray:
     return np.where(bits > 0, 1.0, 1.0 - q)
 
 
-def _colonisation_row(z: int, p_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets ``z' - z`` and values of the nonzero entries of ``C[z]``.
-
-    Occupied patches stay occupied; each empty one doubles both arrays.
-    """
-    offsets = np.zeros(1, dtype=np.int64)
-    weights = np.ones(1)
-    for i, p in enumerate(p_row):
-        if not (z >> i) & 1:
-            weights = np.concatenate((weights * (1.0 - p), weights * p))
-            offsets = np.concatenate((offsets, offsets + (1 << i)))
-    return offsets, weights
-
-
-def _colonisation_matrix(p_set: np.ndarray) -> np.ndarray:
-    s = p_set.shape[0]
-    cm = np.zeros((s, s))
-    for z in range(s):
-        offsets, weights = _colonisation_row(z, p_set[z])
-        cm[z, z + offsets] = weights
-    return cm
+def _sweep_tables(p_set: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``p_set`` in sweep order: table ``k``, of shape ``(2**(n-k-1), 3**k)``,
+    holds ``p_set[z, k]`` for the sources ``z`` with patch ``k`` empty, by
+    source bits ``k+1 ..`` (row) and ternary digits of patches ``.. k-1``
+    (column; 0 empty, 1 colonised, 2 occupied).  ``3**n - 2**n`` floats."""
+    tables = []
+    low = np.zeros(1, dtype=np.int64)  # source bits of each ternary column
+    for k in range(p_set.shape[1]):
+        if k:
+            low = np.concatenate((low, low, low + (1 << (k - 1))))
+        tables.append(p_set[:, k].reshape(-1, 2 << k)[:, low])
+    return tuple(tables)
 
 
 @dataclass(frozen=True)
 class TransitionMatrices:
     """One generation as an operator on distributions; coffin at index 0.
 
-    ``C`` is the dense colonisation matrix, or None for the matrix-free
-    operator, whose ``apply`` walks each state's empty patches with
-    ``p_set[z, i]`` = P(bit i set after colonisation | source state z).
-    ``E``, ``M = E @ C`` and ``R`` are dense copies built on each access,
-    for tests to check against; no computation here reads them.
+    ``p_set[z, i]`` is P(bit i set after colonisation | source state z),
+    and ``tables`` the same in the order the colonisation sweep reads it.
+    ``E``, ``C``, ``M = E @ C`` and ``R`` are dense copies built on each
+    access, for tests to check against; no computation here reads them.
     """
 
     n: int
     e: float
     c: float
-    C: np.ndarray | None
     p_set: np.ndarray
+    tables: tuple[np.ndarray, ...]
 
     @property
     def n_states(self) -> int:
@@ -176,22 +150,53 @@ class TransitionMatrices:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """One generation of a distribution (row vector): ``v @ E @ C``."""
-        v = _apply_extinction_inplace(np.array(v, dtype=float), self.n, self.e)
-        if self.C is not None:
-            return v @ self.C
-        w = np.zeros_like(v)
-        for z in np.flatnonzero(v):
-            offsets, weights = _colonisation_row(z, self.p_set[z])
-            w[z + offsets] += v[z] * weights
-        return w
+        return self.colonise(_apply_extinction_inplace(np.array(v, dtype=float),
+                                                       self.n, self.e))
+
+    def colonise(self, v: np.ndarray) -> np.ndarray:
+        """``v @ C``: step ``k`` splits source bit ``k`` into a ternary digit,
+        empty (weight ``1 - p``), colonised (``p``) or occupied; the digits
+        then collapse into target bits."""
+        a = np.asarray(v, dtype=float)
+        for p in self.tables:
+            a = a.reshape(p.shape[0], 2, p.shape[1])[:, [0, 0, 1]]
+            a[:, 1] *= p
+            a[:, 0] -= a[:, 1]
+        for k in reversed(range(self.n)):
+            a = a.reshape(-1, 3, 3 ** k)  # copies the previous step's slice
+            a[:, 1] += a[:, 2]
+            a = a[:, :2]
+        return a.reshape(-1)
+
+    def colonise_adjoint(self, w: np.ndarray) -> np.ndarray:
+        """``C @ w``: the transpose of each step of ``colonise``, in reverse."""
+        a = np.asarray(w, dtype=float)
+        for k in range(self.n):
+            a = a.reshape(-1, 2, 3 ** k)[:, [0, 1, 1]]
+        for p in reversed(self.tables):
+            a = a.reshape(p.shape[0], 3, p.shape[1])
+            a[:, 1] -= a[:, 0]
+            a[:, 1] *= p
+            a[:, 0] += a[:, 1]
+            a = a[:, [0, 2]]
+        return a.reshape(-1)
 
     @property
     def E(self) -> np.ndarray:
         return _apply_extinction_inplace(np.eye(self.n_states), self.n, self.e)
 
     @property
+    def C(self) -> np.ndarray:
+        """Row ``z``: the outer product of ``(1 - p_set[z, i], p_set[z, i])``."""
+        factors = np.stack((1.0 - self.p_set, self.p_set), axis=2)
+        cm = np.ones((self.n_states, 1))
+        for i in range(self.n):
+            cm = (factors[:, i, :, None] * cm[:, None, :]).reshape(self.n_states, -1)
+        return cm
+
+    @property
     def M(self) -> np.ndarray:
-        return _left_extinction_inplace(self.C.copy(), self.n, self.e)
+        return _left_extinction_inplace(self.C, self.n, self.e)
 
     @property
     def R(self) -> np.ndarray:
@@ -204,30 +209,27 @@ def _times_r(tm: TransitionMatrices, x: np.ndarray) -> np.ndarray:
     return tm.apply(np.concatenate(([0.0], x)))[1:]
 
 
-def _operator(graph: Graph, params: Params, dense: bool) -> TransitionMatrices:
+def _operator(graph: Graph, params: Params) -> TransitionMatrices:
     if not params.post_source:
-        raise ValueError(
-            "exact propagation is defined for the post-extinction colonisation "
-            "source; the pre-extinction variant is simulation-only"
-        )
+        raise ValueError("exact propagation is defined for the post-extinction "
+                         "colonisation source; pre-extinction is simulation-only")
     p_set = _colonisation_probabilities(graph, params.c)
-    cm = _colonisation_matrix(p_set) if dense else None
-    return TransitionMatrices(graph.n, params.e, params.c, cm, p_set)
+    return TransitionMatrices(graph.n, params.e, params.c, p_set, _sweep_tables(p_set))
 
 
 def build_transition(
     graph: Graph,
     params: Params,
-    cap: int = DENSE_CAP_DEFAULT,
+    cap: int = EXACT_CAP_DEFAULT,
 ) -> TransitionMatrices:
-    """The one-generation operator for a graph and parameters, with dense ``C``.
+    """The one-generation operator for a graph and parameters.
 
     Requires the default post-extinction colonisation source: ``apply``
     feeds the survivors of the extinction phase into the colonisation
     phase, which is exactly that convention.
     """
     _check_cap(graph.n, cap)
-    return _operator(graph, params, dense=True)
+    return _operator(graph, params)
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +288,13 @@ def finite_horizon(
 
 
 def finite_horizon_matrix_free(graph: Graph, params: Params, z0: int, n_gen: int) -> HorizonTable:
-    """Exact horizon summaries without building any 2**n x 2**n matrix.
+    """``finite_horizon`` from a graph, for any ``n`` up to ``MAX_N``.
 
-    ``finite_horizon`` on the operator with no stored ``C``: the extinction
-    phase costs ``n * 2**n`` per generation and the colonisation walk on
-    the order of ``3**n``.  Measured: 0.64-0.97 s per generation at
-    ``n = 14`` in traced exact-chain benchmark runs (2-vCPU Xeon VM, one
-    BLAS thread), growing as ``3**n``.
+    A generation costs on the order of ``3**n``: 0.06 s at ``n = 14``,
+    0.9 s at 16 and 2.3 s at 17 (2-vCPU Xeon VM, one BLAS thread).
     """
-    if graph.n > MATRIX_FREE_CAP:
-        raise ValueError(f"matrix-free propagation supports n <= {MATRIX_FREE_CAP}")
-    return finite_horizon(_operator(graph, params, dense=False), z0, n_gen)
+    _check_cap(graph.n, MAX_N)
+    return finite_horizon(_operator(graph, params), z0, n_gen)
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +370,14 @@ def qsd(tm: TransitionMatrices) -> QsdResult:
     transient block is irreducible and aperiodic and the left Perron vector
     is the unique limit of survival-conditioned distributions.  ``R`` is
     only ever applied: ``x R`` is ``apply([0, x])[1:]`` and ``R x`` is
-    ``(E @ C @ [0, x])[1:]``.  Arnoldi on ``x R`` gives ``lambda1``,
+    ``(E @ colonise_adjoint([0, x]))[1:]``.  Arnoldi on ``x R`` gives ``lambda1``,
     ``alpha`` and ``lambda2_abs`` (a complex subdominant pair is native to
     it); Arnoldi on ``R x`` gives the right vector.  Round-off can leave
     entries of ``alpha`` with almost no mass slightly negative (-7e-19 on
     a preferential-attachment graph, ``n = 10``, ``e = 0.01``, ``c = 0.9``);
-    they are clipped to 0 before ``alpha`` is normalised to sum 1.
+    they are clipped to 0 before ``alpha`` is normalised to sum 1.  Where
+    ``1 - lambda1`` is below double precision, ``lambda1`` is clipped to 1,
+    the bound of a sub-stochastic ``R``.
     """
     if not 0.0 < tm.e < 1.0:
         raise ValueError("the quasi-stationary distribution needs 0 < e < 1")
@@ -386,11 +386,11 @@ def qsd(tm: TransitionMatrices) -> QsdResult:
     s = tm.n_states - 1
 
     def right(x):
-        w = tm.C @ np.concatenate(([0.0], x))
+        w = tm.colonise_adjoint(np.concatenate(([0.0], x)))
         return _left_extinction_inplace(w, tm.n, tm.e)[1:]
 
     vals, vecs, n_left = _leading_eigenpairs(lambda x: _times_r(tm, x), s, 2)
-    lam1 = float(vals[0].real)
+    lam1 = min(float(vals[0].real), 1.0)
     alpha = vecs[:, 0].real
     alpha = np.maximum(alpha / alpha.sum(), 0.0)
     alpha /= alpha.sum()
@@ -519,16 +519,15 @@ def extinction_heatmap(
     c_grid,
     n_gen: int,
     z0: int | None = None,
-    cap: int = DENSE_CAP_DEFAULT,
+    cap: int = EXACT_CAP_DEFAULT,
     method: str = "auto",
     n_reps: int = 10_000,
     seed=0,
 ) -> HeatmapResult:
     """Extinction probability after ``n_gen`` generations over a grid.
 
-    ``method='exact'`` builds one dense colonisation matrix per ``c`` and
-    runs ``finite_horizon`` on it for every ``e`` (extinction is applied
-    factor by factor, so no other matrix is formed).  ``method='sim'``
+    ``method='exact'`` builds the colonisation sweep tables once per ``c``
+    and runs ``finite_horizon`` on them for every ``e``.  ``method='sim'``
     estimates each cell with ``n_reps`` crude simulations.  ``'auto'``
     picks exact when the state space fits under ``cap``.
     """
@@ -544,11 +543,9 @@ def extinction_heatmap(
     if method == "exact":
         _check_cap(n, cap)
         for j, c in enumerate(c_grid):
-            p_set = _colonisation_probabilities(graph, c)
-            cm = _colonisation_matrix(p_set)
+            base = _operator(graph, Params(0.0, float(c)))  # e is set per cell
             for i, e in enumerate(e_grid):
-                tm = TransitionMatrices(n, float(e), float(c), cm, p_set)
-                p[i, j] = finite_horizon(tm, z0, n_gen).p_extinct[-1]
+                p[i, j] = finite_horizon(replace(base, e=float(e)), z0, n_gen).p_extinct[-1]
     elif method == "sim":
         ss = np.random.SeedSequence(seed)
         cells = ss.spawn(len(e_grid) * len(c_grid))

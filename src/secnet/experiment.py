@@ -101,7 +101,7 @@ class Design:
     n_network_replicates: int = 10
     n_sim_reps: int = 10_000
     estimator: str = "auto"  # auto | exact | crude
-    exact_cap: int = exact.DENSE_CAP_DEFAULT
+    exact_cap: int = exact.EXACT_CAP_DEFAULT
     escalate_below_events: int = 10
     master_seed: int = 0
     initial: str = "all_occupied"

@@ -86,6 +86,24 @@ def test_kernel_matches_brute_force_enumeration(e, c):
         assert np.allclose(tm.M, oracle_transition_matrix(graph, e, c), atol=1e-13)
 
 
+@pytest.mark.parametrize("e,c", [(0.0, 0.3), (0.2, 0.7), (0.9, 0.05)])
+def test_colonisation_sweep_matches_dense_oracles(e, c):
+    rng = np.random.default_rng(40)
+    graphs = (P1, P2, C4, gen_erdos_renyi(5, 7, np.random.default_rng(21)),
+              gen_erdos_renyi(8, 13, np.random.default_rng(24)))
+    for graph in graphs:
+        tm = build_transition(graph, Params(e, c))
+        cm = tm.C
+        rows = np.array([tm.colonise(x) for x in np.eye(tm.n_states)])
+        assert np.allclose(rows, cm, rtol=0.0, atol=1e-15)
+        assert np.allclose(rows, oracle_transition_matrix(graph, 0.0, c), rtol=0.0, atol=1e-15)
+        w = rng.uniform(-1.0, 1.0, tm.n_states)
+        assert np.allclose(tm.colonise_adjoint(w), cm @ w, rtol=0.0, atol=1e-14)
+        v = rng.random(tm.n_states)
+        v /= v.sum()
+        assert np.allclose(tm.apply(v), v @ tm.M, rtol=0.0, atol=1e-15)
+
+
 def test_pre_extinction_source_is_rejected():
     with pytest.raises(ValueError):
         build_transition(P2, Params(0.5, 0.5, colonisation_source="pre-extinction"))
@@ -95,12 +113,11 @@ def test_dense_caps():
     g13 = gen_erdos_renyi(13, 14, np.random.default_rng(22))
     with pytest.raises(ValueError):
         build_transition(g13, Params(0.5, 0.5))  # beyond the default cap
-    with pytest.warns(ResourceWarning):
-        tm = build_transition(g13, Params(0.5, 0.5), cap=13)
+    tm = build_transition(g13, Params(0.5, 0.5), cap=13)
     assert tm.n_states == 8192
     with pytest.raises(ValueError):
         build_transition(gen_erdos_renyi(15, 16, np.random.default_rng(23)),
-                         Params(0.5, 0.5), cap=15)
+                         Params(0.5, 0.5), cap=exact.MAX_N + 1)
 
 
 def test_no_dense_extinction_or_generation_matrix_on_any_propagation_path(monkeypatch):
@@ -108,15 +125,13 @@ def test_no_dense_extinction_or_generation_matrix_on_any_propagation_path(monkey
     params = Params(0.3, 0.25)
     tm = build_transition(g, params)
     fields = [getattr(tm, f.name) for f in dataclasses.fields(tm)]
-    assert sum(isinstance(a, np.ndarray) and a.shape == (64, 64) for a in fields) <= 1
-    with pytest.warns(ResourceWarning, match=r"8192 x 8192 colonisation matrix \(~0\.5 GB\)"):
-        exact._check_cap(13, 13)
+    assert sum(isinstance(a, np.ndarray) and a.shape == (64, 64) for a in fields) == 0
 
     def refuse(self):
-        raise AssertionError("a dense E or M was built on a propagation path")
+        raise AssertionError("a dense E, C or M was built on a propagation path")
 
-    monkeypatch.setattr(exact.TransitionMatrices, "E", property(refuse))
-    monkeypatch.setattr(exact.TransitionMatrices, "M", property(refuse))
+    for name in ("E", "C", "M"):
+        monkeypatch.setattr(exact.TransitionMatrices, name, property(refuse))
     z0 = all_occupied(6)
     assert 0.0 < finite_horizon(tm, z0, 20).p_extinct[-1] < 1.0
     assert qsd(tm).residual <= 1e-8
@@ -163,12 +178,21 @@ def test_horizon_table_consistency():
 def test_matrix_free_horizon_matches_dense():
     g = gen_erdos_renyi(8, 13, np.random.default_rng(24))
     params = Params(0.35, 0.2)
+    m = build_transition(g, params).M
+    pc = np.array([bin(z).count("1") for z in range(256)], dtype=float)
     for z0 in (all_occupied(8), 0b10011010, 0b1):
-        dense = finite_horizon(build_transition(g, params), z0, 25)
+        v = np.zeros(256)
+        v[z0] = 1.0
+        dense = [v]
+        for _ in range(25):
+            dense.append(dense[-1] @ m)
+        dense = np.array(dense)
+        p_persist = 1.0 - dense[:, 0]
+        mean_occ = dense @ pc
         free = finite_horizon_matrix_free(g, params, z0, 25)
-        assert np.allclose(free.p_persist, dense.p_persist, atol=1e-12)
-        assert np.allclose(free.mean_occ, dense.mean_occ, atol=1e-12)
-        assert np.allclose(free.cond_mean_occ, dense.cond_mean_occ, atol=1e-12)
+        assert np.allclose(free.p_persist, p_persist, atol=1e-12)
+        assert np.allclose(free.mean_occ, mean_occ, atol=1e-12)
+        assert np.allclose(free.cond_mean_occ, mean_occ / p_persist, atol=1e-12)
 
 
 def test_matrix_free_cap():
@@ -266,11 +290,15 @@ def test_mean_time_matches_dense_solve_in_persistent_chains(e, c):
         assert mean_extinction_time(tm, z0) == pytest.approx(m[z0 - 1], rel=1e-15 * m[z0 - 1])
 
 
-def test_qsd_is_a_distribution_when_lambda1_rounds_to_one():
-    # Unclipped, the Arnoldi vector puts -7e-19 on a state with almost no mass.
-    spec = netgen.TopologySpec(kind="PA", n=10, power=1.0,
+@pytest.mark.parametrize("c", [0.6, 0.9])
+@pytest.mark.parametrize("kind, power", [("ER", None), ("PA", 1.0)])
+def test_qsd_is_a_distribution_when_lambda1_rounds_to_one(kind, power, c):
+    # Unclipped, the Arnoldi vector puts -7e-19 on a state with almost no
+    # mass, and lambda1 reads a few ulps above 1.
+    spec = netgen.TopologySpec(kind=kind, n=10, power=power,
                                n_edges=netgen.density_to_n_edges(0.3, 10))
-    res = qsd(build_transition(spec.generate(np.random.default_rng(39)), Params(0.01, 0.9)))
+    res = qsd(build_transition(spec.generate(np.random.default_rng(39)), Params(0.01, c)))
+    assert res.lambda1 <= 1.0
     assert res.alpha.min() >= 0.0
     assert res.alpha.sum() == pytest.approx(1.0, abs=1e-12)
     assert res.residual <= 1e-12
