@@ -161,8 +161,9 @@ def cmd_simulate(args) -> int:
         write_trajectory_csv(traj, args.sample_trajectory)
     _write_manifest(args, "simulate")
     p = report.persistence
-    print(f"p_persist[{args.gens}] = {p.value:.10g} (se {p.se:.3g}, "
-          f"{p.diagnostics['n_survivors']}/{args.reps} survived)")
+    survived = p.diagnostics["n_survivors"]
+    se = f"se {p.se:.3g}" if 0 < survived < args.reps else "no events, se not estimable"
+    print(f"p_persist[{args.gens}] = {p.value:.10g} ({se}, {survived}/{args.reps} survived)")
     print(f"mean_occ[{args.gens}] = {report.occupancy.value:.10g}")
     print(f"cond_mean_occ[{args.gens}] = {report.conditional_occupancy.value:.10g}")
     return 0
@@ -217,6 +218,8 @@ def cmd_rare(args) -> int:
     print(f"estimate = {est.value:.10g}")
     print(f"se = {est.se:.6g}")
     print(f"n_work = {est.n_work}")
+    if args.method == "is":
+        print(f"ess = {est.diagnostics['ess']:.6g}")
     return 0
 
 

@@ -12,7 +12,8 @@ available through ``Params.colonisation_source``.
 ``Kernel`` is the one place the generation map is prepared: it holds the
 adjacency, the colonisation table and the source convention for a
 ``(graph, params)`` pair and steps blocks of replicates.  Every simulation
-route, here and in ``rareevent``, advances the chain through it.
+route, here and in ``rareevent``, advances the chain through it; a CSR
+adjacency on large sparse graphs counts neighbours exactly as the dense one.
 
 States are integer bitmasks (bit ``i`` set means patch ``i`` is occupied);
 state ``0`` is absorbing.  ``step`` and ``simulate`` operate on single
@@ -61,6 +62,12 @@ SOURCES = ("post-extinction", "pre-extinction")
 # changing it changes which sample you draw (never its law), so it is not a
 # tuning knob and results never depend on how blocks are scheduled.
 BLOCK_REPS = 1024
+
+# ``Kernel`` counts neighbours by CSR from SPARSE_MIN_N patches up to this density,
+# where whole steps ran 1.1-1.6x faster than dense, and no faster at n = 200 or
+# density 0.05 (n = 200-2000, one BLAS thread).  Equal counts: a speed cut-off only.
+SPARSE_MIN_N = 300
+SPARSE_MAX_DENSITY = 0.025
 
 
 @dataclass(frozen=True)
@@ -143,10 +150,12 @@ class Kernel:
     ``pcol[o]`` is the probability that an empty patch with ``o`` occupied
     neighbours is colonised.  ``post_source`` says whether those neighbours
     are counted after the extinction phase (default) or before it.
+    ``adjacency`` is dense float64, or on sparse graphs a float64 CSR array built
+    from the edge list; ``source @ adjacency`` counts exactly in both, so draws match.
     """
 
     n: int
-    adjacency: np.ndarray
+    adjacency: np.ndarray  # or a scipy.sparse.csr_array
     e: float
     pcol: np.ndarray
     post_source: bool
@@ -155,7 +164,13 @@ class Kernel:
     def prepare(cls, graph: Graph, params: Params) -> Kernel:
         max_degree = int(graph.degrees.max()) if graph.n_edges else 0
         pcol = 1.0 - (1.0 - params.c) ** np.arange(max_degree + 1)
-        return cls(graph.n, graph.adjacency_matrix, params.e, pcol, params.post_source)
+        if graph.n < SPARSE_MIN_N or graph.density > SPARSE_MAX_DENSITY:
+            adjacency = graph.adjacency_matrix
+        else:
+            from scipy.sparse import csr_array
+            ends = np.concatenate([graph.edge_array, graph.edge_array[:, ::-1]]).T
+            adjacency = csr_array((np.ones(ends.shape[1]), ends), shape=(graph.n,) * 2)
+        return cls(graph.n, adjacency, params.e, pcol, params.post_source)
 
     def start(self, z0: int, reps: int) -> np.ndarray:
         """A writable (reps, n) block with every row in state ``z0``."""

@@ -119,15 +119,6 @@ class Graph:
         return a
 
     @cached_property
-    def neighbors(self) -> tuple[np.ndarray, ...]:
-        """Per-node sorted neighbour index arrays."""
-        lists: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            lists[u].append(v)
-            lists[v].append(u)
-        return tuple(np.asarray(sorted(l), dtype=np.intp) for l in lists)
-
-    @cached_property
     def degrees(self) -> np.ndarray:
         d = np.zeros(self.n, dtype=np.intp)
         for u, v in self.edges:

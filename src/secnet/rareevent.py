@@ -208,7 +208,8 @@ def is_extinction(
     mean = w_sum / n_sims
     var = max(0.0, (w_sq_sum - n_sims * mean * mean) / (n_sims - 1))
     se = math.sqrt(var / n_sims)
-    diag = {"n_extinct_trajectories": n_hits, "max_weight": w_max}
+    ess = w_sum * w_sum / w_sq_sum if w_sq_sum > 0.0 else 0.0  # Kish (Kong 1992)
+    diag = {"n_extinct_trajectories": n_hits, "max_weight": w_max, "ess": ess}
     hits = np.concatenate(hit_weights) if hit_weights else np.empty(0)
     hits = hits[hits > 0.0]  # exp underflow would poison log10
     if hits.size:

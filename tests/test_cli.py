@@ -93,10 +93,19 @@ def test_generate_infeasible_exits_4(tmp_path, capsys):
 
 
 def test_cheap_imports_do_not_load_scipy():
-    # scipy serves only the exact layer's Krylov solvers and is imported
-    # when they run: importing it up front costs every command start-up.
+    # scipy serves the exact layer's Krylov solvers and the kernel's sparse
+    # neighbour counts, and is imported when they run: importing it up front
+    # costs every command start-up, and a dense graph never needs it.
     code = "import sys, secnet, secnet.cli; sys.exit('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = ("import sys, numpy as np\n"
+            "from secnet import dynamics, netgen\n"
+            "g = netgen.gen_erdos_renyi(100, netgen.density_to_n_edges(0.3, 100),"
+            " np.random.default_rng(1))\n"
+            "dynamics.estimate_crude(g, dynamics.Params(0.25, 0.01), dynamics.all_occupied(100),"
+            " 5, 50, seed=1)\n"
+            "sys.exit('scipy' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -187,6 +196,21 @@ def test_simulate_writes_report_and_trajectory(tmp_path, graph_file, capsys):
     assert out.read_bytes() == first  # same seed, byte-identical output
 
 
+@pytest.mark.parametrize("e, survived", [(0.0, "300/300"), (1.0, "0/300")])
+def test_simulate_reports_no_events_instead_of_a_zero_se(tmp_path, graph_file, capsys,
+                                                         e, survived):
+    # Every replicate surviving (or every one dying) makes sqrt(p(1-p)/n)
+    # read 0: a zero-width error bar that says nothing.
+    rc = main(["simulate", "--graph", str(graph_file), "--e", str(e), "--c", "0.4",
+               "--gens", "5", "--reps", "300", "--seed", "7",
+               "--out", str(tmp_path / "report.csv")])
+    assert rc == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert "no events, se not estimable" in line
+    assert "se 0" not in line
+    assert f"{survived} survived" in line
+
+
 # ---------------------------------------------------------------------------
 # rare
 
@@ -206,7 +230,7 @@ def test_rare_ips_writes_json_and_diagnostics(tmp_path, graph_file):
     assert len(lines) == 21
 
 
-def test_rare_is_writes_weight_histogram(tmp_path, graph_file):
+def test_rare_is_writes_weight_histogram(tmp_path, graph_file, capsys):
     out = tmp_path / "is.json"
     diag = tmp_path / "is.csv"
     rc = main(["rare", "--graph", str(graph_file), "--e", "0.1", "--c", "0.45",
@@ -216,6 +240,10 @@ def test_rare_is_writes_weight_histogram(tmp_path, graph_file):
     payload = json.loads(out.read_text())
     assert payload["method"] == "is"
     assert payload["value"] > 0.0
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    ess = payload["diagnostics"]["ess"]
+    assert float(printed["ess"]) == pytest.approx(ess, rel=1e-5)
+    assert 1.0 <= ess <= payload["diagnostics"]["n_extinct_trajectories"]
     assert diag.read_text().splitlines()[0] == \
         "weight_log10_lo,weight_log10_hi,count"
 

@@ -1,7 +1,10 @@
 """Kernel-level tests: one-step law, trajectories, crude Monte Carlo, the
-pinned RNG protocol and the kernel's module boundary."""
+pinned RNG protocol, the two neighbour-count forms and the kernel's module
+boundary."""
 
 import ast
+import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 
 from secnet.dynamics import (
     BLOCK_REPS,
+    Kernel,
     Params,
     all_occupied,
     array_to_state,
@@ -314,6 +318,132 @@ def test_rng_protocol_v1_outputs_are_pinned():
         sp = split_extinction(G6, rare_params, full, 10, SplittingConfig((4, 2), 10),
                               seed=5, n_replications=3)
         assert (sp.value, sp.se) == want["split"], source
+
+
+def _random_graph(n: int, n_edges: int, seed: int) -> Graph:
+    """``n_edges`` distinct pairs drawn uniformly, with no connectivity check."""
+    iu, iv = np.triu_indices(n, 1)
+    pick = np.random.default_rng(seed).choice(iu.size, n_edges, replace=False)
+    return Graph(n, zip(iu[pick].tolist(), iv[pick].tolist()))
+
+
+# 300 patches and 900 edges (density 0.020, one isolated patch): a graph the
+# kernel counts by CSR.  The values were recorded with the dense count, so
+# they pin that the CSR form draws the same sample bit for bit.
+G300 = _random_graph(300, 900, seed=300)
+
+PROTOCOL_V1_SPARSE = {
+    "post-extinction": {
+        "crude": (0.2571174377224199, 0.013035950187036406,
+                  0.6272241992882562, 0.04058205594303322,
+                  2.4394463667820068, 0.09811212432505345),
+        "persistence_series": (1.0, 0.99644128113879, 0.9395017793594306,
+                               0.7784697508896797, 0.5889679715302492,
+                               0.4012455516014235, 0.2571174377224199),
+        "occupancy_series": (12.0, 7.604982206405694, 4.668149466192171,
+                             2.8905693950177938, 1.7072953736654803,
+                             0.9884341637010676, 0.6272241992882562),
+        "conditional_occupancy_series": (12.0, 7.632142857142857, 4.96875,
+                                         3.713142857142857, 2.8987915407854983,
+                                         2.4634146341463414, 2.4394463667820068),
+        "simulate_counts": (12, 8, 9, 6, 2, 1, 0, 0, 0, 0, 0, 0, 0),
+        "simulate_sha256": "8f5e4596006ae0c7d372a994f69bac4c408882a1733e46cc0e4d339e1c308837",
+        "ips": (0.28844361408, 0.030221358242019707),
+        "is": (0.1890580239690377, 0.007341705017806918),
+        "split": (0.25510750119445774, 0.029838506145677197),
+    },
+    "pre-extinction": {
+        "crude": (0.952846975088968, 0.006322417970770975,
+                  7.708185053380783, 0.15976868217729803,
+                  8.089635854341736, 0.1588466060793373),
+        "persistence_series": (1.0, 1.0, 1.0, 0.9991103202846975,
+                               0.9902135231316725, 0.9768683274021353,
+                               0.952846975088968),
+        "occupancy_series": (12.0, 11.792704626334519, 10.930604982206406,
+                             10.197508896797153, 9.26067615658363,
+                             8.431494661921707, 7.708185053380783),
+        "conditional_occupancy_series": (12.0, 11.792704626334519, 10.930604982206406,
+                                         10.206589492430988, 9.352201257861635,
+                                         8.631147540983607, 8.089635854341736),
+        "simulate_counts": (12, 14, 15, 12, 11, 11, 14, 14, 10, 8, 6, 6, 7),
+        "simulate_sha256": "0b2ab9fb24b3e98401d4ecb71cb4a59ac774fb99ba60b90aba56fb20cbaaf96d",
+        "ips": (0.9851, 0.00948736001214249),
+        "is": (0.0010573300888295364, 0.0002529760470189388),
+        "split": (0.003595355360066307, 0.0014261559484033948),
+    },
+}
+
+
+def test_rng_protocol_v1_outputs_are_pinned_on_a_sparse_graph():
+    assert not isinstance(Kernel.prepare(G300, Params(0.6, 0.08)).adjacency, np.ndarray)
+    z0 = (1 << 12) - 1
+    for source, want in PROTOCOL_V1_SPARSE.items():
+        params = Params(0.6, 0.08, source)
+        rare_params = Params(0.45, 0.08, source)
+        r = estimate_crude(G300, params, z0, 6, BLOCK_REPS + 100, seed=2025)
+        got_crude = tuple(float(x) for est in (r.persistence, r.occupancy,
+                                               r.conditional_occupancy)
+                          for x in (est.value, est.se))
+        assert got_crude == want["crude"], source
+        assert tuple(r.persistence_series) == want["persistence_series"], source
+        assert tuple(r.occupancy_series) == want["occupancy_series"], source
+        assert tuple(r.conditional_occupancy_series) == \
+            want["conditional_occupancy_series"], source
+        traj = simulate(G300, params, z0, 12, np.random.default_rng(8))
+        assert tuple(traj.occupied_counts) == want["simulate_counts"], source
+        assert hashlib.sha256(repr(traj.states).encode()).hexdigest() == \
+            want["simulate_sha256"], source
+        ips = ips_persistence(G300, params, z0, 6, 50, seed=3, n_batches=4)
+        assert (ips.value, ips.se) == want["ips"], source
+        is_ = is_extinction(G300, rare_params, z0, 6, default_twist_schedule(0.45, 6),
+                            BLOCK_REPS + 100, seed=4)
+        assert (is_.value, is_.se) == want["is"], source
+        sp = split_extinction(G300, rare_params, z0, 6, SplittingConfig((6, 2), 10),
+                              seed=5, n_replications=3)
+        assert (sp.value, sp.se) == want["split"], source
+
+
+# ---------------------------------------------------------------------------
+# neighbour counts: CSR and dense
+# ---------------------------------------------------------------------------
+
+def _hub_graph() -> Graph:
+    # Patch 0 neighbours patches 1-300, so its count passes 255; patches
+    # 350-399 have no edges at all.
+    extra = _random_graph(350, 400, seed=12).edges
+    return Graph(400, {(0, v) for v in range(1, 301)} | set(extra))
+
+
+@pytest.mark.parametrize("graph", [_hub_graph(), Graph(300, ()), G300],
+                         ids=["hub", "no-edges", "G300"])
+@pytest.mark.parametrize("source", ["post-extinction", "pre-extinction"])
+def test_csr_and_dense_counts_step_alike(graph, source):
+    sparse = Kernel.prepare(graph, Params(0.05, 0.002, source))
+    assert not isinstance(sparse.adjacency, np.ndarray)
+    dense = dataclasses.replace(sparse, adjacency=graph.adjacency_matrix)
+    occ = np.random.default_rng(1).random((BLOCK_REPS, graph.n)) < 0.97
+    occ[::2, 0] = False  # an empty hub with most of its neighbours occupied
+    occ_s, occ_d = occ, occ.copy()
+    rng_s, rng_d = np.random.default_rng(2), np.random.default_rng(2)
+    for e in (None, 0.3, None):  # 0.3: the twisted rate importance sampling passes
+        surv_s, occ_s = sparse.step(occ_s, rng_s, e)
+        surv_d, occ_d = dense.step(occ_d, rng_d, e)
+        assert np.array_equal(surv_s, surv_d)
+        assert np.array_equal(occ_s, occ_d)
+    if graph.degrees.max() > 255:  # the hub's counts must not wrap at 256
+        hub_counts = (occ @ sparse.adjacency)[:, 0]
+        assert hub_counts.min() > 255
+        assert np.array_equal(hub_counts, occ @ graph.adjacency_matrix[:, 0])
+
+
+def test_sparse_graphs_never_form_the_dense_adjacency(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense adjacency formed")
+    monkeypatch.setattr(Graph, "adjacency_matrix", property(refuse))
+    graph = _random_graph(500, 2000, seed=5)
+    Kernel.prepare(graph, Params(0.1, 0.1))
+    r = estimate_crude(graph, Params(0.1, 0.1), all_occupied(500), 3, 10, seed=1)
+    assert r.persistence.value == 1.0
 
 
 def test_no_module_imports_another_modules_private_names():

@@ -8,7 +8,7 @@ import pytest
 
 from secnet.dynamics import Params, all_occupied
 from secnet.exact import build_transition, finite_horizon
-from secnet.netgen import Graph, gen_erdos_renyi
+from secnet.netgen import Graph, density_to_n_edges, gen_erdos_renyi
 from secnet.rareevent import (
     SplittingConfig,
     TwistSchedule,
@@ -113,6 +113,21 @@ def test_is_null_twist_reduces_to_crude_frequency():
     hits = est.diagnostics["n_extinct_trajectories"]
     assert est.value == pytest.approx(hits / 4000, abs=1e-12)
     assert est.diagnostics["max_weight"] == pytest.approx(1.0, abs=1e-12)
+    assert est.diagnostics["ess"] == pytest.approx(hits, rel=1e-12)  # equal weights
+
+
+def test_is_effective_sample_size_on_the_rare_tail_fixture():
+    # The criterion 04 fixture: exact extinction probability ~7e-7, so the
+    # hits carry unequal weights and Kish's ESS lies strictly below them.
+    graph = gen_erdos_renyi(10, density_to_n_edges(0.7, 10), np.random.default_rng(42))
+    params = Params(0.05, 0.10)
+    schedule = default_twist_schedule(params.e, 30, peak=0.25)
+    est = is_extinction(graph, params, all_occupied(10), 30, schedule, 2000, seed=9000)
+    d = est.diagnostics
+    # Sum of squared weights, recovered from the reported mean and variance.
+    w_sq_sum = est.se ** 2 * 2000 * 1999 + 2000 * est.value ** 2
+    assert d["ess"] == pytest.approx((2000 * est.value) ** 2 / w_sq_sum, rel=1e-6)
+    assert 1.0 <= d["ess"] < d["n_extinct_trajectories"]
 
 
 def test_is_single_patch_closed_form():
