@@ -6,9 +6,10 @@ evaluates every (cell, replicate) with the exact chain when the patch count
 allows it and crude simulation otherwise, escalating to a rare-event
 estimator whenever the crude run observes fewer events than a cutoff.
 Replicate networks are seeded from (master seed, edge budget, replicate)
-only, so topology comparisons at matching edge budgets are paired draws,
-and every estimator stream is a pure function of the design and indices:
-results are byte-identical however the work is scheduled.
+only, so topology comparisons at matching edge budgets are paired draws;
+a task is one network, built once (graph, λ1, one exact operator per c)
+for all its rate pairs.  Estimator streams are pure functions of the
+design and indices: results are byte-identical however work is scheduled.
 
 ``variance_decomposition`` performs the classical balanced ANOVA sum-of-
 squares split (main effects and interactions up to a chosen order, shares
@@ -20,12 +21,13 @@ symbols.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +130,8 @@ class Design:
             raise ValueError("only the all_occupied initial state is supported")
         if self.n_network_replicates < 1 or self.n_sim_reps < 1 or self.n_gen < 0:
             raise ValueError("replicate counts and horizon must be positive")
+        if self.n < 2:
+            raise ValueError(f"a design needs at least two patches, got n={self.n}")
 
     @property
     def rate_pairs(self) -> tuple[tuple[float, float], ...]:
@@ -181,7 +185,7 @@ class Cell:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One (cell, replicate network) outcome."""
+    """One (cell, replicate network) outcome; defaults mark values not obtained."""
 
     design: str
     cell_index: int
@@ -191,17 +195,17 @@ class ResultRow:
     n_edges: int
     density: float
     topology: str
-    graph_fingerprint: str
-    lambda1: float
-    persistence: float
-    persistence_se: float
-    persistence_method: str
-    occupancy: float
-    occupancy_se: float
-    cond_occupancy: float
-    n_survivors: int
-    n_extinct: int
-    runtime_s: float
+    graph_fingerprint: str = ""
+    lambda1: float = math.nan
+    persistence: float = math.nan
+    persistence_se: float = math.nan
+    persistence_method: str = "failed"
+    occupancy: float = math.nan
+    occupancy_se: float = math.nan
+    cond_occupancy: float = math.nan
+    n_survivors: int = -1
+    n_extinct: int = -1
+    runtime_s: float = 0.0
     error: str | None = None
 
 
@@ -215,103 +219,98 @@ def _estimator_seed(design: Design, cell_index: int, replicate: int) -> np.rando
     return np.random.SeedSequence(design.master_seed, spawn_key=(2, cell_index, replicate))
 
 
-def _evaluate(design: Design, cell: Cell, replicate: int) -> ResultRow:
-    t0 = time.perf_counter()
-    base = dict(
-        design=design.name, cell_index=cell.index, replicate=replicate,
-        e=cell.e, c=cell.c, n_edges=cell.n_edges,
-        density=cell.n_edges / (design.n * (design.n - 1) // 2),
-        topology=cell.topology.label,
+def _network_rows(task) -> list[ResultRow]:
+    """Every rate pair of one (edge budget, topology, replicate) network."""
+    design, cells, replicate = task
+    n_edges, topology = cells[0].n_edges, cells[0].topology
+    use_exact = design.estimator == "exact" or (
+        design.estimator == "auto" and design.n <= design.exact_cap
     )
-    try:
-        rng = np.random.default_rng(_network_seed(design, cell.n_edges, replicate))
-        graph = cell.topology.spec(design.n, cell.n_edges).generate(rng)
-        lam1 = leading_adjacency_eigenvalue(graph)
+    z0 = all_occupied(design.n)
+    operators: dict[float, exact.TransitionMatrices] = {}  # by c; e is set per row
+
+    def estimates(cell: Cell, graph) -> dict:
         params = Params(e=cell.e, c=cell.c)
-        z0 = all_occupied(design.n)
-        use_exact = design.estimator == "exact" or (
-            design.estimator == "auto" and design.n <= design.exact_cap
-        )
         if use_exact:
-            tm = exact.build_transition(graph, params, cap=design.exact_cap)
-            table = exact.finite_horizon(tm, z0, design.n_gen)
-            row = ResultRow(
-                **base, graph_fingerprint=graph.fingerprint(), lambda1=lam1,
-                persistence=float(table.p_persist[-1]), persistence_se=0.0,
-                persistence_method="exact",
-                occupancy=float(table.mean_occ[-1]), occupancy_se=0.0,
-                cond_occupancy=float(table.cond_mean_occ[-1]),
-                n_survivors=-1, n_extinct=-1,
-                runtime_s=time.perf_counter() - t0,
-            )
-            return row
+            if cell.c not in operators:
+                operators[cell.c] = exact.build_transition(graph, params, cap=design.exact_cap)
+            table = exact.finite_horizon(replace(operators[cell.c], e=cell.e), z0, design.n_gen)
+            return dict(persistence=float(table.p_persist[-1]), persistence_se=0.0,
+                        persistence_method="exact", occupancy=float(table.mean_occ[-1]),
+                        occupancy_se=0.0, cond_occupancy=float(table.cond_mean_occ[-1]))
         seed = _estimator_seed(design, cell.index, replicate)
-        report = estimate_crude(graph, params, z0, design.n_gen,
-                                design.n_sim_reps, seed)
+        report = estimate_crude(graph, params, z0, design.n_gen, design.n_sim_reps, seed)
         pers = report.persistence
         survivors = pers.diagnostics["n_survivors"]
         extinct = pers.diagnostics["n_extinct"]
-        cutoff = design.escalate_below_events
+        # at e = 0 or 1 the outcome is certain, so a lack of events is no reason to escalate
+        cutoff = design.escalate_below_events if 0.0 < cell.e < 1.0 else 0
         sub_seeds = seed.spawn(2)
-        if survivors < cutoff and 0.0 < cell.e < 1.0:
-            n_particles = max(64, design.n_sim_reps // 20)
+        if survivors < cutoff:
             pers = ips_persistence(graph, params, z0, design.n_gen,
-                                   n_particles, sub_seeds[0])
-        elif extinct < cutoff and 0.0 < cell.e < 1.0:
-            schedule = default_twist_schedule(cell.e, design.n_gen)
-            ext = is_extinction(graph, params, z0, design.n_gen, schedule,
+                                   max(64, design.n_sim_reps // 20), sub_seeds[0])
+        elif extinct < cutoff:
+            ext = is_extinction(graph, params, z0, design.n_gen,
+                                default_twist_schedule(cell.e, design.n_gen),
                                 design.n_sim_reps, sub_seeds[1])
-            pers = Estimate(1.0 - ext.value, ext.se, "is", ext.n_work,
-                            ext.diagnostics)
-        return ResultRow(
-            **base, graph_fingerprint=graph.fingerprint(), lambda1=lam1,
-            persistence=pers.value, persistence_se=pers.se,
-            persistence_method=pers.method,
-            occupancy=report.occupancy.value, occupancy_se=report.occupancy.se,
-            cond_occupancy=report.conditional_occupancy.value,
-            n_survivors=survivors, n_extinct=extinct,
-            runtime_s=time.perf_counter() - t0,
-        )
-    except Exception as err:  # per-cell failures must not sink the run
-        return ResultRow(
-            **base, graph_fingerprint="", lambda1=float("nan"),
-            persistence=float("nan"), persistence_se=float("nan"),
-            persistence_method="failed",
-            occupancy=float("nan"), occupancy_se=float("nan"),
-            cond_occupancy=float("nan"), n_survivors=-1, n_extinct=-1,
-            runtime_s=time.perf_counter() - t0,
-            error=f"{type(err).__name__}: {err}",
-        )
+            pers = Estimate(1.0 - ext.value, ext.se, "is", ext.n_work, ext.diagnostics)
+        return dict(persistence=pers.value, persistence_se=pers.se,
+                    persistence_method=pers.method, occupancy=report.occupancy.value,
+                    occupancy_se=report.occupancy.se,
+                    cond_occupancy=report.conditional_occupancy.value,
+                    n_survivors=survivors, n_extinct=extinct)
 
-
-def _evaluate_task(args) -> ResultRow:
-    design, cell, replicate = args
-    return _evaluate(design, cell, replicate)
+    t0 = time.perf_counter()
+    try:
+        rng = np.random.default_rng(_network_seed(design, n_edges, replicate))
+        graph = topology.spec(design.n, n_edges).generate(rng)
+        network = dict(graph_fingerprint=graph.fingerprint(),
+                       lambda1=leading_adjacency_eigenvalue(graph))
+    except Exception as err:  # a failed network fails each of its rows
+        network = err
+    rows = []
+    for cell in cells:
+        try:
+            if isinstance(network, Exception):
+                raise network
+            values = dict(network, **estimates(cell, graph))
+        except Exception as err:  # per-row failures must not sink the run
+            values = dict(error=f"{type(err).__name__}: {err}")
+        rows.append(ResultRow(
+            design=design.name, cell_index=cell.index, replicate=replicate,
+            e=cell.e, c=cell.c, n_edges=n_edges,
+            density=n_edges / (design.n * (design.n - 1) // 2),
+            topology=topology.label, **values, runtime_s=time.perf_counter() - t0,
+        ))
+        t0 = time.perf_counter()
+    return rows
 
 
 def run_factorial(design: Design, workers: int = 1, progress=None) -> list[ResultRow]:
     """Evaluate every (cell, replicate); rows come back in enumeration order.
 
-    ``workers > 1`` distributes (cell, replicate) tasks over a process
-    pool; the output is identical for any worker count.  ``progress`` may
-    be a callable taking (done, total).
+    A task is one network and all its rate pairs: a row's ``runtime_s``
+    starts where its network's previous row ended (the first includes the
+    build), ``progress(done, total)`` counts networks, and ``workers > 1``
+    spreads networks over a process pool, so no more workers than networks
+    are busy.  The output is identical for any worker count.
     """
-    tasks = [(design, cell, rep)
-             for cell in design.cells()
+    networks: dict[tuple, list[Cell]] = {}
+    for cell in design.cells():
+        networks.setdefault((cell.n_edges, cell.topology), []).append(cell)
+    tasks = [(design, cells, rep)
+             for cells in networks.values()
              for rep in range(design.n_network_replicates)]
     rows: list[ResultRow] = []
-    if workers <= 1:
-        for i, task in enumerate(tasks):
-            rows.append(_evaluate_task(task))
+    with (multiprocessing.get_context().Pool(workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        done = (pool.imap(_network_rows, tasks, chunksize=1) if pool
+                else map(_network_rows, tasks))
+        for i, network_rows in enumerate(done, 1):
+            rows += network_rows
             if progress:
-                progress(i + 1, len(tasks))
-    else:
-        with multiprocessing.get_context().Pool(workers) as pool:
-            for i, row in enumerate(pool.imap(_evaluate_task, tasks, chunksize=1)):
-                rows.append(row)
-                if progress:
-                    progress(i + 1, len(tasks))
-    return rows
+                progress(i, len(tasks))
+    return sorted(rows, key=lambda r: (r.cell_index, r.replicate))
 
 
 RESULT_COLUMNS = [
@@ -336,7 +335,6 @@ def read_results_csv(path: str | Path) -> list[ResultRow]:
     out = []
     with open(path, newline="") as fh:
         for rec in csv.DictReader(fh):
-            rec.pop("runtime_s", None)
             out.append(ResultRow(
                 design=rec["design"], cell_index=int(rec["cell_index"]),
                 replicate=int(rec["replicate"]), e=float(rec["e"]),
@@ -352,7 +350,6 @@ def read_results_csv(path: str | Path) -> list[ResultRow]:
                 cond_occupancy=float(rec["cond_occupancy"]),
                 n_survivors=int(rec["n_survivors"]),
                 n_extinct=int(rec["n_extinct"]),
-                runtime_s=0.0,
                 error=rec["error"] or None,
             ))
     return out

@@ -370,6 +370,17 @@ def test_experiment_bad_preset_exits_3(tmp_path, capsys):
     assert "unknown preset" in capsys.readouterr().err
 
 
+def test_experiment_one_patch_design_exits_3(tmp_path, capsys):
+    d = small_design_dict()
+    d.update(n=1, n_edges_values=[0])
+    design_path = tmp_path / "design.json"
+    design_path.write_text(json.dumps(d))
+    rc = main(["experiment", "--design", str(design_path),
+               "--out", str(tmp_path / "rows.csv")])
+    assert rc == EXIT_INPUT
+    assert "two patches" in capsys.readouterr().err
+
+
 def test_experiment_with_failures_exits_4(tmp_path, capsys):
     d = small_design_dict()
     d.update(n=16, n_edges_values=[30], e_values=[0.2], c_values=[0.3],

@@ -1,11 +1,13 @@
 """Tests for the factorial experiment driver and its analysis helpers."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from secnet import exact, experiment
 from secnet.experiment import (
     Design,
     ResultRow,
@@ -22,6 +24,7 @@ from secnet.experiment import (
     write_results_csv,
     write_variance_csv,
 )
+from secnet.netgen import ConvergenceError, GenerationError, TopologySpec
 
 ER = TopologyFactor("ER", "ER")
 LAT = TopologyFactor("LAT", "LAT")
@@ -195,14 +198,96 @@ def test_failures_are_captured_per_row():
         assert r.error is not None and "cap" in r.error
 
 
-def test_worker_pool_matches_serial_run(tmp_path):
-    d = small_design(topologies=(ER, LAT))
+@pytest.mark.parametrize("estimator", ["exact", "crude"])
+def test_worker_pool_matches_serial_run(tmp_path, estimator):
+    d = small_design(topologies=(ER, LAT), estimator=estimator)
     serial = run_factorial(d, workers=1)
     pooled = run_factorial(d, workers=2)
     p1, p2 = tmp_path / "serial.csv", tmp_path / "pooled.csv"
     write_results_csv(serial, p1)
     write_results_csv(pooled, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_results_csv_is_pinned(tmp_path):
+    # Every route: exact rows, crude rows, crude rows escalated to IPS and
+    # to IS, and a failed row (the exact estimator over the cap).  The hash
+    # was recorded when every (cell, replicate) built its own network, so it
+    # pins that sharing one network across rate pairs changes no byte.
+    designs = [
+        small_design(topologies=(ER, LAT), c_values=(0.3, 0.5)),
+        small_design(n=8, n_edges_values=(12,), estimator="crude", n_gen=40,
+                     topologies=(ER, LAT), e_values=(), c_values=(),
+                     ec_pairs=((0.3, 0.3), (0.85, 0.02), (0.02, 0.6)),
+                     n_sim_reps=400),
+        small_design(n=16, n_edges_values=(30,), e_values=(0.2,),
+                     n_network_replicates=1),
+    ]
+    rows = [row for d in designs for row in run_factorial(d)]
+    assert {r.persistence_method for r in rows} == {"exact", "crude", "ips", "is", "failed"}
+    path = tmp_path / "rows.csv"
+    write_results_csv(rows, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "c4bf5ad1bd3eaf75661e9b9c50cfcc6f29bd79f56d6b4b7d80d2af9e4351fc0d"
+
+
+def test_each_network_is_built_once(monkeypatch):
+    generated, built, calls = [], [], []
+    generate, build = TopologySpec.generate, exact.build_transition
+
+    def counting_generate(self, rng):
+        generated.append(self.label)
+        return generate(self, rng)
+
+    def counting_build(graph, params, cap=exact.EXACT_CAP_DEFAULT):
+        built.append((graph.fingerprint(), params.c))
+        return build(graph, params, cap)
+
+    monkeypatch.setattr(TopologySpec, "generate", counting_generate)
+    monkeypatch.setattr(exact, "build_transition", counting_build)
+    d = small_design(topologies=(ER, LAT), c_values=(0.3, 0.5))
+    rows = run_factorial(d, progress=lambda done, total: calls.append((done, total)))
+    n_networks = 2 * d.n_network_replicates
+    assert len(rows) == 4 * n_networks
+    assert sorted(generated) == ["ER", "ER", "LAT", "LAT"]
+    assert len(built) == len(set(built)) == 2 * n_networks
+    assert calls == [(i, n_networks) for i in range(1, n_networks + 1)]
+
+
+@pytest.mark.parametrize("where", ["lambda1", "generate"])
+def test_network_failures_reach_every_row(monkeypatch, where):
+    generate, lambda1 = TopologySpec.generate, experiment.leading_adjacency_eigenvalue
+    lattices = []
+
+    def failing_generate(self, rng):
+        if self.label == "LAT" and where == "generate":
+            raise GenerationError("no lattice fits")
+        graph = generate(self, rng)
+        if self.label == "LAT":
+            lattices.append(graph)
+        return graph
+
+    def failing_lambda1(graph):
+        if any(graph is g for g in lattices):
+            raise ConvergenceError("power iteration did not converge")
+        return lambda1(graph)
+
+    monkeypatch.setattr(TopologySpec, "generate", failing_generate)
+    monkeypatch.setattr(experiment, "leading_adjacency_eigenvalue", failing_lambda1)
+    message = {"generate": "GenerationError: no lattice fits",
+               "lambda1": "ConvergenceError: power iteration did not converge"}[where]
+    d = small_design(topologies=(ER, LAT), c_values=(0.3, 0.5))
+    rows = run_factorial(d)
+    assert [(r.cell_index, r.replicate) for r in rows] == [
+        (ci, rep) for ci in range(8) for rep in range(2)
+    ]
+    for r in rows:
+        if r.topology == "LAT":
+            assert r.persistence_method == "failed"
+            assert r.error == message
+            assert r.graph_fingerprint == "" and math.isnan(r.lambda1)
+        else:
+            assert r.persistence_method == "exact" and r.error is None
 
 
 # ---------------------------------------------------------------------------
