@@ -5,136 +5,9 @@ two-phase occupancy kernel with crude Monte Carlo (`dynamics`), exact
 transition-matrix analysis of the 2^n chain (`exact`), mean-field
 recursions with persistence thresholds (`meanfield`), rare-event
 estimators (`rareevent`), a factorial experiment harness (`experiment`)
-and a command line front end (`cli`).
+and a command line front end (`cli`).  Each public name lives in its
+module and is imported from there, e.g. ``from secnet.dynamics import
+Params``.
 """
 
-from .dynamics import (
-    BLOCK_REPS,
-    Estimate,
-    EstimateReport,
-    Params,
-    Trajectory,
-    all_occupied,
-    array_to_state,
-    estimate_crude,
-    simulate,
-    state_to_array,
-    step,
-    write_report_csv,
-    write_trajectory_csv,
-)
-from .exact import (
-    HeatmapResult,
-    HorizonTable,
-    QsdResult,
-    TransitionMatrices,
-    build_transition,
-    convergence_diagnostics,
-    extinction_heatmap,
-    finite_horizon,
-    finite_horizon_matrix_free,
-    mean_extinction_time,
-    qsd,
-)
-from .experiment import (
-    Design,
-    ResultRow,
-    TopologyFactor,
-    VarianceTable,
-    preset,
-    preset_names,
-    run_factorial,
-    scenario_compare,
-    scenario_presets,
-    variance_decomposition,
-)
-from .meanfield import MeanFieldTrajectory, ThresholdReport, mf_iterate, mf_threshold
-from .netgen import (
-    ConvergenceError,
-    GenerationError,
-    Graph,
-    TopologySpec,
-    density_to_n_edges,
-    gen_community,
-    gen_erdos_renyi,
-    gen_lattice,
-    gen_pref_attach,
-    graph_metrics,
-    leading_adjacency_eigenvalue,
-    read_graph_json,
-    write_graph_json,
-)
-from .rareevent import (
-    SplittingConfig,
-    TwistSchedule,
-    WorkCapExceeded,
-    default_twist_schedule,
-    geometric_thresholds,
-    ips_persistence,
-    is_extinction,
-    split_extinction,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BLOCK_REPS",
-    "ConvergenceError",
-    "Design",
-    "Estimate",
-    "EstimateReport",
-    "GenerationError",
-    "Graph",
-    "HeatmapResult",
-    "HorizonTable",
-    "MeanFieldTrajectory",
-    "Params",
-    "QsdResult",
-    "ResultRow",
-    "SplittingConfig",
-    "ThresholdReport",
-    "TopologyFactor",
-    "TopologySpec",
-    "Trajectory",
-    "TransitionMatrices",
-    "TwistSchedule",
-    "VarianceTable",
-    "WorkCapExceeded",
-    "all_occupied",
-    "array_to_state",
-    "build_transition",
-    "convergence_diagnostics",
-    "default_twist_schedule",
-    "density_to_n_edges",
-    "estimate_crude",
-    "extinction_heatmap",
-    "finite_horizon",
-    "finite_horizon_matrix_free",
-    "gen_community",
-    "gen_erdos_renyi",
-    "gen_lattice",
-    "gen_pref_attach",
-    "geometric_thresholds",
-    "graph_metrics",
-    "ips_persistence",
-    "is_extinction",
-    "leading_adjacency_eigenvalue",
-    "mean_extinction_time",
-    "mf_iterate",
-    "mf_threshold",
-    "preset",
-    "preset_names",
-    "qsd",
-    "read_graph_json",
-    "run_factorial",
-    "scenario_compare",
-    "scenario_presets",
-    "simulate",
-    "split_extinction",
-    "state_to_array",
-    "step",
-    "variance_decomposition",
-    "write_graph_json",
-    "write_report_csv",
-    "write_trajectory_csv",
-]

@@ -339,7 +339,12 @@ def cmd_rerun(args) -> int:
         stored["out"] = args.out
     stored.setdefault("manifest", None)
     ns = argparse.Namespace(**stored)
-    return COMMANDS[command](ns)
+    try:
+        return COMMANDS[command](ns)
+    except AttributeError as err:
+        if err.obj is not ns:
+            raise
+        raise InputError(f"manifest {args.manifest_file} lacks argument {err.name!r}") from None
 
 
 COMMANDS = {

@@ -39,11 +39,13 @@ import numpy as np
 from .netgen import Graph
 
 __all__ = [
+    "BLOCK_REPS",
     "Estimate",
     "EstimateReport",
     "Kernel",
     "Params",
     "Trajectory",
+    "all_occupied",
     "array_to_state",
     "estimate_crude",
     "seed_sequence",

@@ -45,6 +45,7 @@ __all__ = [
     "VarianceTable",
     "preset",
     "preset_names",
+    "read_results_csv",
     "run_factorial",
     "scenario_compare",
     "scenario_presets",
@@ -132,6 +133,11 @@ class Design:
             raise ValueError("replicate counts and horizon must be positive")
         if self.n < 2:
             raise ValueError(f"a design needs at least two patches, got n={self.n}")
+        for e, c in self.rate_pairs:  # reject what every row would fail on
+            Params(e, c)
+        for n_edges in self.edge_budgets:
+            for topo in self.topologies:
+                topo.spec(self.n, n_edges)
 
     @property
     def rate_pairs(self) -> tuple[tuple[float, float], ...]:
@@ -205,8 +211,8 @@ class ResultRow:
     cond_occupancy: float = math.nan
     n_survivors: int = -1
     n_extinct: int = -1
-    runtime_s: float = 0.0
     error: str | None = None
+    runtime_s: float = 0.0
 
 
 def _network_seed(design: Design, n_edges: int, replicate: int) -> np.random.SeedSequence:
@@ -313,12 +319,8 @@ def run_factorial(design: Design, workers: int = 1, progress=None) -> list[Resul
     return sorted(rows, key=lambda r: (r.cell_index, r.replicate))
 
 
-RESULT_COLUMNS = [
-    "design", "cell_index", "replicate", "e", "c", "n_edges", "density",
-    "topology", "graph_fingerprint", "lambda1", "persistence",
-    "persistence_se", "persistence_method", "occupancy", "occupancy_se",
-    "cond_occupancy", "n_survivors", "n_extinct", "error",
-]
+RESULT_COLUMNS = [f.name for f in fields(ResultRow) if f.name != "runtime_s"]
+_CELL_PARSERS = {"int": int, "float": float, "str": str, "str | None": lambda s: s or None}
 
 
 def write_results_csv(rows: list[ResultRow], path: str | Path,
@@ -332,27 +334,11 @@ def write_results_csv(rows: list[ResultRow], path: str | Path,
 
 
 def read_results_csv(path: str | Path) -> list[ResultRow]:
-    out = []
+    """Rows of a results file; a field with no column keeps its default."""
+    parsers = {f.name: _CELL_PARSERS[f.type] for f in fields(ResultRow)}
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            out.append(ResultRow(
-                design=rec["design"], cell_index=int(rec["cell_index"]),
-                replicate=int(rec["replicate"]), e=float(rec["e"]),
-                c=float(rec["c"]), n_edges=int(rec["n_edges"]),
-                density=float(rec["density"]), topology=rec["topology"],
-                graph_fingerprint=rec["graph_fingerprint"],
-                lambda1=float(rec["lambda1"]),
-                persistence=float(rec["persistence"]),
-                persistence_se=float(rec["persistence_se"]),
-                persistence_method=rec["persistence_method"],
-                occupancy=float(rec["occupancy"]),
-                occupancy_se=float(rec["occupancy_se"]),
-                cond_occupancy=float(rec["cond_occupancy"]),
-                n_survivors=int(rec["n_survivors"]),
-                n_extinct=int(rec["n_extinct"]),
-                error=rec["error"] or None,
-            ))
-    return out
+        return [ResultRow(**{k: parsers[k](v) for k, v in rec.items()})
+                for rec in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------------------

@@ -485,11 +485,6 @@ class GraphMetrics:
     lambda1: float
     connected: bool
 
-    def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["degree_sequence"] = list(self.degree_sequence)
-        return d
-
 
 def graph_metrics(graph: Graph) -> GraphMetrics:
     """Compute density, degree statistics and the leading eigenvalue."""
@@ -559,26 +554,15 @@ class TopologySpec:
             return gen_lattice(self.n, self.n_edges, rng)
         return gen_pref_attach(self.n, self.n_edges, self.power, rng)
 
-    def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TopologySpec":
-        return TopologySpec(**d)
-
 
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
 
-def graph_to_json_str(graph: Graph) -> str:
+def write_graph_json(graph: Graph, path: str | Path) -> None:
     """Canonical JSON: ``{"n": n, "edges": [[u, v], ...]}`` sorted, u < v."""
     payload = {"n": graph.n, "edges": [[u, v] for u, v in graph.edges]}
-    return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
-def write_graph_json(graph: Graph, path: str | Path) -> None:
-    Path(path).write_text(graph_to_json_str(graph))
+    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def read_graph_json(path: str | Path) -> Graph:

@@ -36,7 +36,6 @@ from .dynamics import BLOCK_REPS, Estimate, Kernel, Params, seed_sequence
 from .netgen import Graph
 
 __all__ = [
-    "Estimate",
     "SplittingConfig",
     "TwistSchedule",
     "WorkCapExceeded",
@@ -355,14 +354,11 @@ def split_extinction(
                 picks = rng.integers(0, ns, size=batch)
                 crossed, ct, cz = _batch_crossings(
                     pool_t[picks], pool_z[picks], threshold, n_gen, kernel, rng)
-                for i in range(batch):
-                    k += 1
-                    if crossed[i]:
-                        succ_t[found] = ct[i]
-                        succ_z[found] = cz[i]
-                        found += 1
-                        if found == ns:
-                            break
+                hits = np.flatnonzero(crossed)[:ns - found]
+                succ_t[found:found + hits.size] = ct[hits]
+                succ_z[found:found + hits.size] = cz[hits]
+                found += hits.size
+                k += int(hits[-1]) + 1 if found == ns else batch
             value *= (ns - 1) / (k - 1)
             level_attempts[rep, m] = k
             pool_t, pool_z = succ_t, succ_z

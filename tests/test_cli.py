@@ -381,6 +381,26 @@ def test_experiment_one_patch_design_exits_3(tmp_path, capsys):
     assert "two patches" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", [
+    {"ec_pairs": [[1.5, 0.3]], "e_values": [], "c_values": []},
+    {"topologies": [{"label": "PA", "kind": "PA"}]},
+    {"topologies": [{"label": "X", "kind": "XYZ"}]},
+    {"n_edges_values": [2]},
+    {"n_edges_values": [], "densities": [0.01]},
+    {"n_edges_values": [99]},
+], ids=["rate", "pa-power", "kind", "few-edges", "low-density", "many-edges"])
+def test_experiment_design_every_row_would_reject_exits_3(tmp_path, capsys, change):
+    d = small_design_dict()
+    d.update(change)
+    design_path = tmp_path / "design.json"
+    design_path.write_text(json.dumps(d))
+    out = tmp_path / "rows.csv"
+    rc = main(["experiment", "--design", str(design_path), "--out", str(out)])
+    assert rc == EXIT_INPUT
+    assert "bad design file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_with_failures_exits_4(tmp_path, capsys):
     d = small_design_dict()
     d.update(n=16, n_edges_values=[30], e_values=[0.2], c_values=[0.3],
@@ -420,6 +440,12 @@ def test_rerun_rejects_bad_manifests(tmp_path, capsys):
     rc = main(["rerun", "--manifest", str(inline)])
     assert rc == EXIT_INPUT
     assert "design_inline" in capsys.readouterr().err
+    # so is a manifest that lacks one of its command's arguments
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({"command": "exact", "args": {"e": 0.1}}))
+    rc = main(["rerun", "--manifest", str(partial)])
+    assert rc == EXIT_INPUT
+    assert "lacks argument 'graph'" in capsys.readouterr().err
 
 
 def test_rerun_replays_simulate_manifest(tmp_path, graph_file):

@@ -465,6 +465,36 @@ def test_no_module_imports_another_modules_private_names():
     assert not offenders, offenders
 
 
+def test_all_lists_name_each_modules_own_public_api():
+    # Each public name has one home: its module's ``__all__`` lists what the
+    # module defines (not what it imports), and every name that another
+    # module or the benchmark imports from it.
+    root = Path(__file__).parents[1]
+    exported, defined = {}, {}
+    for path in sorted(root.glob("src/secnet/*.py")):
+        names = defined[path.stem] = set()
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+                names |= targets
+                if "__all__" in targets:
+                    exported[path.stem] = set(ast.literal_eval(node.value))
+    problems = [f"{mod}.__all__ names {name}, which it does not define"
+                for mod, names in exported.items() for name in sorted(names - defined[mod])]
+    importers = [*(root / "src/secnet").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    for path in importers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and (node.level or node.module.startswith("secnet."))):
+                mod = node.module.removeprefix("secnet.")
+                problems += [f"{path.name} imports {alias.name}, missing from {mod}.__all__"
+                             for alias in node.names
+                             if mod in exported and alias.name not in exported[mod]]
+    assert not problems, problems
+
+
 def test_result_tables_have_one_writer():
     # ``write_csv`` alone fixes the result-table format (line ends, float
     # and None cells); a ``csv.writer`` anywhere else is a second copy of it.

@@ -523,22 +523,24 @@ def test_scenario_presets_move_rates_together():
 # CSV output
 
 
-@pytest.mark.parametrize("estimator", ["exact", "crude"])
-def test_results_csv_round_trip(tmp_path, estimator):
+@pytest.mark.parametrize("estimator, include_runtime", [
+    ("exact", False), ("crude", False), ("exact", True),
+], ids=["exact", "crude", "exact-runtime"])
+def test_results_csv_round_trip(tmp_path, estimator, include_runtime):
     # Crude rows carry numpy scalars (occupancy, cond_occupancy); they must
     # be written as plain floats that read back exactly.
     rows = run_factorial(small_design(estimator=estimator))
     assert all((r.persistence_method == "exact") == (estimator == "exact") for r in rows)
     path = tmp_path / "rows.csv"
-    write_results_csv(rows, path)
+    write_results_csv(rows, path, include_runtime=include_runtime)
     header = path.read_text().splitlines()[0]
-    assert header.split(",") == list(RESULT_COLUMNS)
-    assert "runtime" not in header
+    assert header.split(",") == list(RESULT_COLUMNS) + ["runtime_s"] * include_runtime
     back = read_results_csv(path)
-    assert back == [dataclasses.replace(r, runtime_s=0.0) for r in rows]
+    assert back == (rows if include_runtime
+                    else [dataclasses.replace(r, runtime_s=0.0) for r in rows])
     # a second serialisation is byte-identical
     path2 = tmp_path / "rows2.csv"
-    write_results_csv(rows, path2)
+    write_results_csv(rows, path2, include_runtime=include_runtime)
     assert path.read_bytes() == path2.read_bytes()
 
 

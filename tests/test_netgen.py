@@ -330,12 +330,6 @@ def test_spec_generate_dispatch_and_determinism(kind, extra):
     assert g3.fingerprint() != g1.fingerprint() or kind == "LAT"  # LAT can coincide
 
 
-def test_spec_dict_round_trip():
-    spec = TopologySpec(kind="COM", n=10, n_edges=13, n_communities=2,
-                        intra_inter_ratio=5.0, label="com-test")
-    assert TopologySpec.from_dict(spec.to_dict()) == spec
-
-
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
