@@ -338,13 +338,13 @@ def cmd_rerun(args) -> int:
     if args.out is not None:
         stored["out"] = args.out
     stored.setdefault("manifest", None)
-    ns = argparse.Namespace(**stored)
-    try:
-        return COMMANDS[command](ns)
-    except AttributeError as err:
-        if err.obj is not ns:
-            raise
-        raise InputError(f"manifest {args.manifest_file} lacks argument {err.name!r}") from None
+    # Check before dispatch, so a partial manifest writes nothing.  argparse
+    # lists a subcommand's options only in private attributes.
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    for action in commands.choices[command]._actions:
+        if action.dest != "help" and action.dest not in stored:
+            raise InputError(f"manifest {args.manifest_file} lacks argument {action.dest!r}")
+    return COMMANDS[command](argparse.Namespace(**stored))
 
 
 COMMANDS = {

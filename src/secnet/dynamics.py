@@ -215,14 +215,6 @@ class Trajectory:
     def occupied_counts(self) -> np.ndarray:
         return np.array([s.bit_count() for s in self.states], dtype=np.intp)
 
-    @property
-    def extinction_time(self) -> int | None:
-        """First t with an empty landscape, or None if it never empties."""
-        for t, s in enumerate(self.states):
-            if s == 0:
-                return t
-        return None
-
 
 def simulate(
     graph: Graph,

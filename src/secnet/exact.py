@@ -16,8 +16,8 @@ runs the factored extinction and then a colonisation sweep over the
 propagation here -- finite horizons and an extinction-probability grid over
 ``(e, c)``.  The quasi-stationary distribution (left Perron eigenvector of
 the transient block ``R``) with its spectral diagnostics, and mean
-extinction times, come from Krylov solvers that only call ``apply`` and
-its transpose: implicitly restarted Arnoldi (ARPACK) and GMRES, through
+extinction times, come from Krylov solvers that only call ``apply``:
+implicitly restarted Arnoldi (ARPACK) and GMRES, through
 ``scipy.sparse.linalg``, which is imported only when they run.  No path
 forms a ``2**n x 2**n`` array; the dense ``E``, ``C``, ``M = E @ C`` and
 ``R`` are built only on demand, as test oracles.
@@ -96,7 +96,10 @@ def _apply_extinction_inplace(v: np.ndarray, n: int, e: float) -> np.ndarray:
 
 
 def _left_extinction_inplace(w: np.ndarray, n: int, e: float) -> np.ndarray:
-    """w <- E @ w for a C-contiguous vector, or a matrix whose rows are states."""
+    """w <- E @ w for a C-contiguous vector, or a matrix whose rows are states.
+
+    Builds the ``M`` oracle from ``C`` in O(n 4**n), where ``E @ C`` would
+    cost O(8**n)."""
     width = w.size // w.shape[0]
     for i in range(n):
         a = w.reshape(-1, 2, width << i)
@@ -166,19 +169,6 @@ class TransitionMatrices:
             a = a.reshape(-1, 3, 3 ** k)  # copies the previous step's slice
             a[:, 1] += a[:, 2]
             a = a[:, :2]
-        return a.reshape(-1)
-
-    def colonise_adjoint(self, w: np.ndarray) -> np.ndarray:
-        """``C @ w``: the transpose of each step of ``colonise``, in reverse."""
-        a = np.asarray(w, dtype=float)
-        for k in range(self.n):
-            a = a.reshape(-1, 2, 3 ** k)[:, [0, 1, 1]]
-        for p in reversed(self.tables):
-            a = a.reshape(p.shape[0], 3, p.shape[1])
-            a[:, 1] -= a[:, 0]
-            a[:, 1] *= p
-            a[:, 0] += a[:, 1]
-            a = a[:, [0, 2]]
         return a.reshape(-1)
 
     @property
@@ -307,19 +297,16 @@ class QsdResult:
 
     ``alpha`` is the quasi-stationary distribution over non-empty states
     (index ``z - 1`` holds state ``z``); ``lambda1`` its eigenvalue, which
-    equals the second-largest eigenvalue of the full chain.  ``right``
-    is the matching right eigenvector (survival capacity per state,
-    normalised to unit maximum) and ``lambda2_abs`` the modulus of the
-    subdominant eigenvalue of ``R``, from the Arnoldi run that finds
-    ``alpha``.  ``residual`` is ``max |alpha R - lambda1 alpha|`` and
-    ``iterations`` the number of products with ``R``, left and right, the
-    solvers made.
+    equals the second-largest eigenvalue of the full chain, and
+    ``lambda2_abs`` the modulus of the subdominant eigenvalue of ``R``,
+    all from one Arnoldi run.  ``residual`` is
+    ``max |alpha R - lambda1 alpha|`` and ``iterations`` the number of
+    products ``x R`` that run made, not counting the residual's.
     """
 
     n: int
     lambda1: float
     alpha: np.ndarray
-    right: np.ndarray
     lambda2_abs: float
     residual: float
     iterations: int
@@ -330,21 +317,36 @@ class QsdResult:
         return float(self.alpha @ _popcounts(1 << self.n, self.n)[1:])
 
 
-def _leading_eigenpairs(op, s: int, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The ``k`` eigenpairs of largest modulus of the real linear map ``op``
-    on R^s, in descending modulus, and the number of times ``op`` was applied.
+def qsd(tm: TransitionMatrices) -> QsdResult:
+    """Quasi-stationary distribution of the chain and its spectral gap.
 
-    Implicitly restarted Arnoldi (ARPACK) needs ``k + 1 < s``; smaller maps
-    are assembled column by column and solved densely.
+    Requires ``0 < e < 1`` and ``c > 0`` on a connected graph so that the
+    transient block is irreducible and aperiodic and the left Perron vector
+    is the unique limit of survival-conditioned distributions.  ``R`` is
+    only ever applied, as ``x R = apply([0, x])[1:]``.  Implicitly restarted
+    Arnoldi (ARPACK) on that map finds its two eigenvalues of largest
+    modulus and gives ``lambda1``, ``alpha`` and ``lambda2_abs`` (a complex
+    subdominant pair is native to it); it needs ``s > 3`` states, so
+    smaller maps are assembled row by row and solved densely.  Round-off
+    can leave entries of ``alpha`` with almost no mass slightly negative
+    (-7e-19 on a preferential-attachment graph, ``n = 10``, ``e = 0.01``,
+    ``c = 0.9``); they are clipped to 0 before ``alpha`` is normalised to
+    sum 1.  Where ``1 - lambda1`` is below double precision, ``lambda1`` is
+    clipped to 1, the bound of a sub-stochastic ``R``.
     """
-    applications = 0
+    if not 0.0 < tm.e < 1.0:
+        raise ValueError("the quasi-stationary distribution needs 0 < e < 1")
+    if tm.c <= 0.0:
+        raise ValueError("the quasi-stationary distribution needs c > 0")
+    s = tm.n_states - 1
+    iterations = 0
 
-    def counted(x):
-        nonlocal applications
-        applications += 1
-        return op(x)
+    def times_r(x):
+        nonlocal iterations
+        iterations += 1
+        return _times_r(tm, x)
 
-    if k + 1 < s:
+    if s > 3:
         from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
         # A fixed generic start: runs are deterministic, and it is not
@@ -352,54 +354,21 @@ def _leading_eigenpairs(op, s: int, k: int) -> tuple[np.ndarray, np.ndarray, int
         # graphs with symmetries.
         v0 = np.random.default_rng(0x5EC2).uniform(0.5, 1.5, s)
         try:
-            vals, vecs = eigs(LinearOperator((s, s), matvec=counted, dtype=float), k=k,
+            vals, vecs = eigs(LinearOperator((s, s), matvec=times_r, dtype=float), k=2,
                               v0=v0, tol=QSD_TOL, maxiter=QSD_MAX_ITER)
         except ArpackNoConvergence as err:
             raise ConvergenceError(
                 f"Arnoldi iteration did not converge in {QSD_MAX_ITER} restarts") from err
     else:
-        vals, vecs = np.linalg.eig(np.column_stack([counted(x) for x in np.eye(s)]))
-    order = np.argsort(-np.abs(vals))[:k]
-    return vals[order], vecs[:, order], applications
-
-
-def qsd(tm: TransitionMatrices) -> QsdResult:
-    """Quasi-stationary distribution of the chain and its spectral gap.
-
-    Requires ``0 < e < 1`` and ``c > 0`` on a connected graph so that the
-    transient block is irreducible and aperiodic and the left Perron vector
-    is the unique limit of survival-conditioned distributions.  ``R`` is
-    only ever applied: ``x R`` is ``apply([0, x])[1:]`` and ``R x`` is
-    ``(E @ colonise_adjoint([0, x]))[1:]``.  Arnoldi on ``x R`` gives ``lambda1``,
-    ``alpha`` and ``lambda2_abs`` (a complex subdominant pair is native to
-    it); Arnoldi on ``R x`` gives the right vector.  Round-off can leave
-    entries of ``alpha`` with almost no mass slightly negative (-7e-19 on
-    a preferential-attachment graph, ``n = 10``, ``e = 0.01``, ``c = 0.9``);
-    they are clipped to 0 before ``alpha`` is normalised to sum 1.  Where
-    ``1 - lambda1`` is below double precision, ``lambda1`` is clipped to 1,
-    the bound of a sub-stochastic ``R``.
-    """
-    if not 0.0 < tm.e < 1.0:
-        raise ValueError("the quasi-stationary distribution needs 0 < e < 1")
-    if tm.c <= 0.0:
-        raise ValueError("the quasi-stationary distribution needs c > 0")
-    s = tm.n_states - 1
-
-    def right(x):
-        w = tm.colonise_adjoint(np.concatenate(([0.0], x)))
-        return _left_extinction_inplace(w, tm.n, tm.e)[1:]
-
-    vals, vecs, n_left = _leading_eigenpairs(lambda x: _times_r(tm, x), s, 2)
-    lam1 = min(float(vals[0].real), 1.0)
-    alpha = vecs[:, 0].real
+        vals, vecs = np.linalg.eig(np.column_stack([times_r(x) for x in np.eye(s)]))
+    order = np.argsort(-np.abs(vals))[:2]
+    lam1 = min(float(vals[order[0]].real), 1.0)
+    alpha = vecs[:, order[0]].real
     alpha = np.maximum(alpha / alpha.sum(), 0.0)
     alpha /= alpha.sum()
-    lam2 = float(abs(vals[1])) if vals.size > 1 else 0.0
-    _, right_vecs, n_right = _leading_eigenpairs(right, s, 1)
-    right_vec = right_vecs[:, 0].real
-    right_vec = right_vec / right_vec[np.argmax(np.abs(right_vec))]
+    lam2 = float(abs(vals[order[1]])) if order.size > 1 else 0.0
     residual = float(np.max(np.abs(_times_r(tm, alpha) - lam1 * alpha)))
-    return QsdResult(tm.n, lam1, alpha, right_vec, lam2, residual, n_left + n_right)
+    return QsdResult(tm.n, lam1, alpha, lam2, residual, iterations)
 
 
 def mean_extinction_time(tm: TransitionMatrices, z0: int) -> float:

@@ -47,21 +47,17 @@ TAIL_WINDOW = 25
 
 @dataclass(frozen=True)
 class MeanFieldTrajectory:
-    """Occupancy probabilities ``p[t, i]`` and escape factors ``zeta[t, i]``.
-
-    ``zeta[t]`` is the factor used to produce ``p[t]``; ``zeta[0]`` is all
-    ones by convention.
-    """
+    """Occupancy probabilities ``p[t, i]`` of patch ``i`` after ``t``
+    generations; ``p[0]`` is the start."""
 
     p: np.ndarray
-    zeta: np.ndarray
 
     @property
     def n_gen(self) -> int:
         return self.p.shape[0] - 1
 
 
-def _mf_step(p: np.ndarray, adjacency: np.ndarray, params: Params) -> tuple[np.ndarray, np.ndarray]:
+def _mf_step(p: np.ndarray, adjacency: np.ndarray, params: Params) -> np.ndarray:
     source = (1.0 - params.e) * p if params.post_source else p
     # Work with the colonisation probability omega = 1 - zeta through
     # log1p/expm1 and combine as survive + omega * (1 - survive): the naive
@@ -69,11 +65,9 @@ def _mf_step(p: np.ndarray, adjacency: np.ndarray, params: Params) -> tuple[np.n
     # reach machine epsilon and freezes the decay at a spurious fixed point.
     with np.errstate(divide="ignore"):
         log_zeta = np.sum(np.log1p(-adjacency * (params.c * source)[None, :]), axis=1)
-    zeta = np.exp(log_zeta)
     omega = -np.expm1(log_zeta)
     survive = (1.0 - params.e) * p
-    p_next = survive + omega * (1.0 - survive)
-    return p_next, zeta
+    return survive + omega * (1.0 - survive)
 
 
 def mf_iterate(graph: Graph, params: Params, p0, n_gen: int) -> MeanFieldTrajectory:
@@ -89,13 +83,10 @@ def mf_iterate(graph: Graph, params: Params, p0, n_gen: int) -> MeanFieldTraject
         raise ValueError("p0 entries must lie in [0, 1]")
     adjacency = graph.adjacency_matrix
     ps = np.empty((n_gen + 1, graph.n))
-    zetas = np.ones((n_gen + 1, graph.n))
     ps[0] = p
-    for t in range(1, n_gen + 1):
-        p, zeta = _mf_step(p, adjacency, params)
-        ps[t] = p
-        zetas[t] = zeta
-    return MeanFieldTrajectory(ps, zetas)
+    for t in range(n_gen):
+        ps[t + 1] = _mf_step(ps[t], adjacency, params)
+    return MeanFieldTrajectory(ps)
 
 
 @dataclass(frozen=True)
@@ -195,7 +186,7 @@ def mf_threshold(graph: Graph, params: Params,
         p = np.ones(graph.n)
         adjacency = graph.adjacency_matrix
         for it in range(1, max_iter + 1):
-            p_next, _ = _mf_step(p, adjacency, params)
+            p_next = _mf_step(p, adjacency, params)
             delta = float(np.max(np.abs(p_next - p)))
             p = p_next
             if delta < FIXED_POINT_TOL:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from secnet import netgen
-from secnet.cli import EXIT_COMPUTE, EXIT_INPUT, main
+from secnet.cli import EXIT_COMPUTE, EXIT_INPUT, build_parser, main
 from secnet.experiment import Design, TopologyFactor, read_results_csv
 
 
@@ -425,7 +425,7 @@ def test_experiment_workers_env_default(tmp_path, monkeypatch):
     assert read_manifest(out)["args"]["workers"] == 2
 
 
-def test_rerun_rejects_bad_manifests(tmp_path, capsys):
+def test_rerun_rejects_bad_manifests(tmp_path, graph_file, capsys):
     rc = main(["rerun", "--manifest", str(tmp_path / "missing.json")])
     assert rc == EXIT_INPUT
     bad = tmp_path / "bad.json"
@@ -435,8 +435,10 @@ def test_rerun_rejects_bad_manifests(tmp_path, capsys):
     assert "unknown command" in capsys.readouterr().err
     # a malformed inline design is a bad input file, not a crash
     inline = tmp_path / "inline.json"
-    inline.write_text(json.dumps({"command": "experiment", "args": {
-        "design_inline": {"name": "x", "n": 6}, "out": str(tmp_path / "x.csv")}}))
+    stored = vars(build_parser().parse_args(["experiment", "--out", str(tmp_path / "x.csv")]))
+    del stored["func"]
+    stored["design_inline"] = {"name": "x", "n": 6}
+    inline.write_text(json.dumps({"command": "experiment", "args": stored}))
     rc = main(["rerun", "--manifest", str(inline)])
     assert rc == EXIT_INPUT
     assert "design_inline" in capsys.readouterr().err
@@ -446,6 +448,25 @@ def test_rerun_rejects_bad_manifests(tmp_path, capsys):
     rc = main(["rerun", "--manifest", str(partial)])
     assert rc == EXIT_INPUT
     assert "lacks argument 'graph'" in capsys.readouterr().err
+    # one missing late in the run is caught before anything is written
+    out = tmp_path / "h.csv"
+    assert main(["exact", "--graph", str(graph_file), "--e", "0.3", "--c", "0.3",
+                 "--gens", "5", "--out", str(out), "--qsd", str(tmp_path / "q.csv"),
+                 "--mean-time"]) == 0
+    stored = read_manifest(out)
+    assert "mean_extinction_time" in stored["args"]  # extra keys replay
+    assert main(["rerun", "--manifest", str(out) + ".manifest.json",
+                 "--out", str(tmp_path / "h1.csv")]) == 0
+    assert (tmp_path / "h1.csv").read_bytes() == out.read_bytes()
+    del stored["args"]["qsd"]
+    partial.write_text(json.dumps(stored))
+    capsys.readouterr()
+    rc = main(["rerun", "--manifest", str(partial), "--out", str(tmp_path / "h2.csv")])
+    assert rc == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lacks argument 'qsd'" in captured.err
+    assert not (tmp_path / "h2.csv").exists()
 
 
 def test_rerun_replays_simulate_manifest(tmp_path, graph_file):

@@ -97,8 +97,6 @@ def test_colonisation_sweep_matches_dense_oracles(e, c):
         rows = np.array([tm.colonise(x) for x in np.eye(tm.n_states)])
         assert np.allclose(rows, cm, rtol=0.0, atol=1e-15)
         assert np.allclose(rows, oracle_transition_matrix(graph, 0.0, c), rtol=0.0, atol=1e-15)
-        w = rng.uniform(-1.0, 1.0, tm.n_states)
-        assert np.allclose(tm.colonise_adjoint(w), cm @ w, rtol=0.0, atol=1e-14)
         v = rng.random(tm.n_states)
         v /= v.sum()
         assert np.allclose(tm.apply(v), v @ tm.M, rtol=0.0, atol=1e-15)
@@ -325,12 +323,20 @@ def test_qsd_non_convergence_raises_and_exits_4(monkeypatch, tmp_path):
     assert rc == EXIT_COMPUTE
 
 
-def test_qsd_right_vector_unit_max():
-    tm = build_transition(C4, Params(0.45, 0.35))
-    res = qsd(tm)
-    assert np.max(np.abs(tm.R @ res.right - res.lambda1 * res.right)) <= 1e-8
-    assert res.right.max() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(res.right >= -1e-12)
+def test_qsd_runs_one_krylov_solve(monkeypatch):
+    # n = 4 has 15 transient states, enough for ARPACK rather than the
+    # dense fallback; every product with R goes through ``apply``.
+    applications = 0
+    apply = exact.TransitionMatrices.apply
+
+    def counted(self, v):
+        nonlocal applications
+        applications += 1
+        return apply(self, v)
+
+    monkeypatch.setattr(exact.TransitionMatrices, "apply", counted)
+    res = qsd(build_transition(C4, Params(0.45, 0.35)))
+    assert res.iterations == applications - 1  # the residual takes one more
 
 
 def test_qsd_rejects_degenerate_rates():

@@ -31,8 +31,6 @@ def test_single_patch_is_exact():
 def test_trajectory_shapes_and_conventions():
     traj = mf_iterate(C10, Params(0.3, 0.2), 0.5, 7)
     assert traj.p.shape == (8, 10)
-    assert traj.zeta.shape == (8, 10)
-    assert np.all(traj.zeta[0] == 1.0)
     assert traj.n_gen == 7
 
 
@@ -41,6 +39,17 @@ def test_zero_is_a_fixed_point_and_one_stays_one_without_extinction():
     assert np.all(traj.p == 0.0)
     traj = mf_iterate(K10, Params(0.0, 0.3), 1.0, 10)
     assert np.all(traj.p == 1.0)
+
+
+def test_certain_colonisation_stays_exact_across_non_edges():
+    # c * s = 1 puts log1p(-1) = -inf on every edge of the escape sum; a
+    # non-edge must add 0, never 0 * -inf = nan.
+    traj = mf_iterate(C10, Params(0.0, 1.0), 1.0, 5)
+    assert np.all(traj.p == 1.0)
+    traj = mf_iterate(C10, Params(0.0, 1.0), np.eye(10)[0], 5)
+    ring_distance = np.minimum(np.arange(10), 10 - np.arange(10))
+    reached = ring_distance[None, :] <= np.arange(6)[:, None]
+    assert np.array_equal(traj.p, reached.astype(float))
 
 
 def test_iterates_stay_in_unit_interval_and_map_is_monotone():
