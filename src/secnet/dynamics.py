@@ -65,9 +65,11 @@ SOURCES = ("post-extinction", "pre-extinction")
 # tuning knob and results never depend on how blocks are scheduled.
 BLOCK_REPS = 1024
 
-# ``Kernel`` counts neighbours by CSR from SPARSE_MIN_N patches up to this density,
-# where whole steps ran 1.1-1.6x faster than dense, and no faster at n = 200 or
-# density 0.05 (n = 200-2000, one BLAS thread).  Equal counts: a speed cut-off only.
+# ``Kernel`` counts neighbours by CSR from SPARSE_MIN_N patches up to this density.
+# With integer CSR counts in C order, steps of 1024 replicates ran 1.4-2.5x faster
+# than dense inside the bounds, 1.0-1.3x at n = 200 or density 0.05-0.3, and
+# 0.97-1.05x at n = 100, density 0.1-0.3 (one BLAS thread).  Equal counts: a speed
+# cut-off only.
 SPARSE_MIN_N = 300
 SPARSE_MAX_DENSITY = 0.025
 
@@ -152,8 +154,9 @@ class Kernel:
     ``pcol[o]`` is the probability that an empty patch with ``o`` occupied
     neighbours is colonised.  ``post_source`` says whether those neighbours
     are counted after the extinction phase (default) or before it.
-    ``adjacency`` is dense float64, or on sparse graphs a float64 CSR array built
-    from the edge list; ``source @ adjacency`` counts exactly in both, so draws match.
+    ``adjacency`` is the graph's dense float64 matrix, or on sparse graphs its
+    integer CSR ``Graph.sparse_adjacency``; ``source @ adjacency`` counts exactly
+    in both, so draws match.
     """
 
     n: int
@@ -166,12 +169,8 @@ class Kernel:
     def prepare(cls, graph: Graph, params: Params) -> Kernel:
         max_degree = int(graph.degrees.max()) if graph.n_edges else 0
         pcol = 1.0 - (1.0 - params.c) ** np.arange(max_degree + 1)
-        if graph.n < SPARSE_MIN_N or graph.density > SPARSE_MAX_DENSITY:
-            adjacency = graph.adjacency_matrix
-        else:
-            from scipy.sparse import csr_array
-            ends = np.concatenate([graph.edge_array, graph.edge_array[:, ::-1]]).T
-            adjacency = csr_array((np.ones(ends.shape[1]), ends), shape=(graph.n,) * 2)
+        sparse = graph.n >= SPARSE_MIN_N and graph.density <= SPARSE_MAX_DENSITY
+        adjacency = graph.sparse_adjacency if sparse else graph.adjacency_matrix
         return cls(graph.n, adjacency, params.e, pcol, params.post_source)
 
     def start(self, z0: int, reps: int) -> np.ndarray:
@@ -188,12 +187,12 @@ class Kernel:
         are drawn for every patch regardless of occupancy so the stream
         consumption per generation is fixed.
         """
-        u_ext = rng.random(occ.shape)
-        survivors = occ & (u_ext >= (self.e if e is None else e))
+        survivors = occ & (rng.random(occ.shape) >= (self.e if e is None else e))
         source = survivors if self.post_source else occ
-        o = (source @ self.adjacency).astype(np.intp)
-        u_col = rng.random(occ.shape)
-        colonised = ~survivors & (u_col < self.pcol[o])
+        # A block times a CSR comes back transposed (F-ordered): put the counts
+        # in the block's C order before they meet the uniforms.
+        o = (source @ self.adjacency).astype(np.intp, order="C")
+        colonised = ~survivors & (rng.random(occ.shape) < self.pcol[o])
         return survivors, survivors | colonised
 
 

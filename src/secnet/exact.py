@@ -26,6 +26,7 @@ forms a ``2**n x 2**n`` array; the dense ``E``, ``C``, ``M = E @ C`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -156,20 +157,32 @@ class TransitionMatrices:
         return self.colonise(_apply_extinction_inplace(np.array(v, dtype=float),
                                                        self.n, self.e))
 
+    @cached_property
+    def _sweep_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sweep's two work arrays, of ``3**n`` and ``2 * 3**(n-1)`` floats:
+        split steps alternate between them, the last one filling the first."""
+        return np.empty(3 ** self.n), np.empty(2 * 3 ** (self.n - 1))
+
     def colonise(self, v: np.ndarray) -> np.ndarray:
         """``v @ C``: step ``k`` splits source bit ``k`` into a ternary digit,
         empty (weight ``1 - p``), colonised (``p``) or occupied; the digits
-        then collapse into target bits."""
+        then collapse, in place, into target bits.  Returns a new array; the
+        work arrays are reused, so calls must not overlap."""
         a = np.asarray(v, dtype=float)
-        for p in self.tables:
-            a = a.reshape(p.shape[0], 2, p.shape[1])[:, [0, 0, 1]]
-            a[:, 1] *= p
-            a[:, 0] -= a[:, 1]
-        for k in reversed(range(self.n)):
-            a = a.reshape(-1, 3, 3 ** k)  # copies the previous step's slice
-            a[:, 1] += a[:, 2]
-            a = a[:, :2]
-        return a.reshape(-1)
+        for k, p in enumerate(self.tables):
+            work = self._sweep_buffers[(self.n - 1 - k) % 2]
+            b = work[:3 * a.size // 2].reshape(p.shape[0], 3, p.shape[1])
+            a = a.reshape(p.shape[0], 2, p.shape[1])
+            np.multiply(a[:, 0], p, out=b[:, 1])
+            np.subtract(a[:, 0], b[:, 1], out=b[:, 0])
+            b[:, 2] = a[:, 1]
+            a = b
+        a = a.reshape((3,) * self.n)  # axis j holds the digit of patch n-1-j
+        for j in range(self.n):
+            lead = (slice(None),) * j
+            a[lead + (1,)] += a[lead + (2,)]
+            a = a[lead + (slice(2),)]
+        return a.flatten()
 
     @property
     def E(self) -> np.ndarray:

@@ -57,14 +57,17 @@ class MeanFieldTrajectory:
         return self.p.shape[0] - 1
 
 
-def _mf_step(p: np.ndarray, adjacency: np.ndarray, params: Params) -> np.ndarray:
+def _mf_step(p: np.ndarray, adjacency, params: Params) -> np.ndarray:
+    """One generation of the map; ``adjacency`` is the graph's sparse one."""
     source = (1.0 - params.e) * p if params.post_source else p
     # Work with the colonisation probability omega = 1 - zeta through
     # log1p/expm1 and combine as survive + omega * (1 - survive): the naive
     # 1 - zeta * (1 - p(1-e)) cancels catastrophically once occupancies
     # reach machine epsilon and freezes the decay at a spurious fixed point.
+    # The escape sum runs over stored edges only: at c * s = 1 a dense
+    # product would add 0 * log1p(-1) = nan for every non-edge.
     with np.errstate(divide="ignore"):
-        log_zeta = np.sum(np.log1p(-adjacency * (params.c * source)[None, :]), axis=1)
+        log_zeta = adjacency @ np.log1p(-params.c * source)
     omega = -np.expm1(log_zeta)
     survive = (1.0 - params.e) * p
     return survive + omega * (1.0 - survive)
@@ -81,7 +84,7 @@ def mf_iterate(graph: Graph, params: Params, p0, n_gen: int) -> MeanFieldTraject
     p = np.broadcast_to(np.asarray(p0, dtype=float), (graph.n,)).copy()
     if p.min() < 0.0 or p.max() > 1.0:
         raise ValueError("p0 entries must lie in [0, 1]")
-    adjacency = graph.adjacency_matrix
+    adjacency = graph.sparse_adjacency
     ps = np.empty((n_gen + 1, graph.n))
     ps[0] = p
     for t in range(n_gen):
@@ -184,7 +187,7 @@ def mf_threshold(graph: Graph, params: Params,
         iterations = DECAY_HORIZON
     elif regime == "supercritical":
         p = np.ones(graph.n)
-        adjacency = graph.adjacency_matrix
+        adjacency = graph.sparse_adjacency
         for it in range(1, max_iter + 1):
             p_next = _mf_step(p, adjacency, params)
             delta = float(np.max(np.abs(p_next - p)))

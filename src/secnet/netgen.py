@@ -119,6 +119,16 @@ class Graph:
         return a
 
     @cached_property
+    def sparse_adjacency(self):
+        """Symmetric 0/1 adjacency as a ``scipy.sparse.csr_array`` with integer
+        data: int16 while every degree is below 2**15, else int32, so a boolean
+        block times it counts neighbours exactly."""
+        from scipy.sparse import csr_array
+        dtype = np.int16 if self.degrees.max() < 1 << 15 else np.int32
+        ends = np.concatenate([self.edge_array, self.edge_array[:, ::-1]]).T
+        return csr_array((np.ones(ends.shape[1], dtype), ends), shape=(self.n, self.n))
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         d = np.zeros(self.n, dtype=np.intp)
         for u, v in self.edges:

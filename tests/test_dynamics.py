@@ -24,6 +24,7 @@ from secnet.dynamics import (
     write_report_csv,
     write_trajectory_csv,
 )
+from secnet.meanfield import mf_iterate
 from secnet.netgen import Graph
 from secnet.rareevent import (
     SplittingConfig,
@@ -444,6 +445,28 @@ def test_sparse_graphs_never_form_the_dense_adjacency(monkeypatch):
     Kernel.prepare(graph, Params(0.1, 0.1))
     r = estimate_crude(graph, Params(0.1, 0.1), all_occupied(500), 3, 10, seed=1)
     assert r.persistence.value == 1.0
+    traj = mf_iterate(graph, Params(0.1, 0.1), 1.0, 3)
+    assert traj.p.shape == (4, 500) and np.all((traj.p >= 0.0) & (traj.p <= 1.0))
+
+
+def test_hub_counts_past_the_int16_range():
+    # The hub has 32 999 neighbours, beyond int16; the dense adjacency
+    # would take 8.7 GB, so the oracle counts occupied neighbours by edge.
+    n = 33_000
+    graph = Graph(n, tuple((0, v) for v in range(1, n)))
+    # Every count of 32 999 colonises for certain: (1 - c)**32999 < 2**-53.
+    kernel = Kernel.prepare(graph, Params(0.0, 0.002))
+    occ = np.ones((2, n), dtype=bool)
+    occ[:, 0] = False
+    survivors, nxt = kernel.step(occ, np.random.default_rng(0))
+    counts = survivors @ kernel.adjacency
+    assert counts[:, 0].tolist() == [n - 1, n - 1]
+    u, v = graph.edge_array.T
+    for row, row_counts in zip(survivors, counts):
+        by_edge = (np.bincount(u, weights=row[v], minlength=n)
+                   + np.bincount(v, weights=row[u], minlength=n))
+        assert np.array_equal(row_counts, by_edge)
+    assert nxt.all()
 
 
 def test_no_module_imports_another_modules_private_names():

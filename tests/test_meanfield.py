@@ -7,7 +7,7 @@ import pytest
 
 from secnet.dynamics import Params
 from secnet.meanfield import mf_iterate, mf_threshold
-from secnet.netgen import Graph, gen_erdos_renyi
+from secnet.netgen import Graph, TopologySpec, gen_erdos_renyi
 
 
 P2 = Graph(2, ((0, 1),))
@@ -50,6 +50,24 @@ def test_certain_colonisation_stays_exact_across_non_edges():
     ring_distance = np.minimum(np.arange(10), 10 - np.arange(10))
     reached = ring_distance[None, :] <= np.arange(6)[:, None]
     assert np.array_equal(traj.p, reached.astype(float))
+
+
+@pytest.mark.parametrize("source", ["post-extinction", "pre-extinction"])
+def test_sparse_escape_sum_matches_the_dense_formula(source):
+    # The dense n x n form of the map, as it ran before the escape sum moved
+    # onto the edges; only the order of the sums differs.
+    graph = TopologySpec(kind="PA", n=500, n_edges=2682, power=3.0).generate(
+        np.random.default_rng(7))
+    params = Params(0.1, 0.02, source)
+    p0 = np.random.default_rng(8).random(500)
+    traj = mf_iterate(graph, params, p0, 40)
+    a, p = graph.adjacency_matrix, p0
+    for t in range(1, 41):
+        s = (1.0 - params.e) * p if params.post_source else p
+        log_zeta = np.sum(np.log1p(-a * (params.c * s)[None, :]), axis=1)
+        survive = (1.0 - params.e) * p
+        p = survive - np.expm1(log_zeta) * (1.0 - survive)
+        assert np.max(np.abs(traj.p[t] - p)) <= 1e-12
 
 
 def test_iterates_stay_in_unit_interval_and_map_is_monotone():
