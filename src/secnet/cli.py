@@ -15,6 +15,7 @@ missing or malformed, 4 when a computation fails or is refused.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -111,13 +112,12 @@ def cmd_generate(args) -> int:
     graph = spec.generate(np.random.default_rng(args.seed))
     netgen.write_graph_json(graph, args.out)
     _write_manifest(args, "generate")
-    m = netgen.graph_metrics(graph)
-    print(f"n = {m.n}")
-    print(f"edges = {m.n_edges}")
-    print(f"density = {m.density:.6g}")
-    print(f"connected = {m.connected}")
-    print(f"degree_mean/max = {m.mean_degree:.6g}/{m.max_degree}")
-    print(f"leading_eigenvalue = {m.lambda1:.10g}")
+    print(f"n = {graph.n}")
+    print(f"edges = {graph.n_edges}")
+    print(f"density = {graph.density:.6g}")
+    print(f"connected = {graph.is_connected()}")
+    print(f"degree_mean/max = {graph.degrees.mean():.6g}/{graph.degrees.max()}")
+    print(f"leading_eigenvalue = {netgen.leading_adjacency_eigenvalue(graph):.10g}")
     print(f"fingerprint = {graph.fingerprint()}")
     return 0
 
@@ -127,25 +127,24 @@ def cmd_exact(args) -> int:
     params = Params(e=args.e, c=args.c)
     z0 = _parse_state(args.z0, graph.n)
     tm = exact.build_transition(graph, params, cap=args.cap)
+    # Every computation runs before the first write, so a refused one leaves no files.
     table = exact.finite_horizon(tm, z0, args.gens)
+    res = exact.qsd(tm) if args.qsd else None
+    mt = exact.mean_extinction_time(tm, z0) if args.mean_time else None
     exact.write_horizon_csv(table, args.out)
     print(f"p_extinct[{args.gens}] = {table.p_extinct[-1]:.10g}")
     print(f"p_persist[{args.gens}] = {table.p_persist[-1]:.10g}")
     print(f"cond_mean_occ[{args.gens}] = {table.cond_mean_occ[-1]:.10g}")
-    extra: dict = {}
-    if args.qsd:
-        res = exact.qsd(tm)
+    if res is not None:
         exact.write_qsd_csv(res, args.qsd)
         print(f"lambda1 = {res.lambda1:.12g}")
         print(f"lambda2_abs = {res.lambda2_abs:.12g}")
         print(f"qsd_mean_occ = {res.mean_occ:.10g}")
         print(f"qsd_residual = {res.residual:.3g}")
         print(f"qsd_iterations = {res.iterations}")
-    if args.mean_time:
-        mt = exact.mean_extinction_time(tm, z0)
+    if mt is not None:
         print(f"mean_extinction_time = {mt:.10g}")
-        extra["mean_extinction_time"] = mt
-    _write_manifest(args, "exact", extra or None)
+    _write_manifest(args, "exact", None if mt is None else {"mean_extinction_time": mt})
     return 0
 
 
@@ -199,10 +198,7 @@ def cmd_rare(args) -> int:
         est = rareevent.is_extinction(
             graph, params, z0, args.gens, schedule, args.sims, args.seed)
     else:
-        if args.thresholds:
-            levels = [int(x) for x in args.thresholds.split(",")]
-        else:
-            levels = rareevent.geometric_thresholds(graph.n, args.levels)
+        levels = args.thresholds or rareevent.geometric_thresholds(graph.n, args.levels)
         config = rareevent.SplittingConfig(
             thresholds=tuple(levels), n_success=args.success)
         est = rareevent.split_extinction(
@@ -226,13 +222,15 @@ def cmd_rare(args) -> int:
 def cmd_meanfield(args) -> int:
     graph = _load_graph(args.graph)
     params = Params(e=args.e, c=args.c)
-    report = meanfield.mf_threshold(graph, params)
+    report = dataclasses.asdict(meanfield.mf_threshold(graph, params))
+    if report["fixed_point"] is not None:
+        report["fixed_point"] = report["fixed_point"].tolist()
     if args.out:
-        traj = meanfield.mf_iterate(graph, params, args.p0, args.gens)
+        ps = meanfield.mf_iterate(graph, params, args.p0, args.gens)
         write_csv(args.out, ["t", *(f"p{i}" for i in range(graph.n))],
-                  ([t, *p] for t, p in enumerate(traj.p)))
-    _write_manifest(args, "meanfield", {"report": report.to_dict()})
-    for key, val in report.to_dict().items():
+                  ([t, *p] for t, p in enumerate(ps)))
+    _write_manifest(args, "meanfield", {"report": report})
+    for key, val in report.items():
         print(f"{key} = {val}")
     return 0
 
@@ -344,6 +342,9 @@ def cmd_rerun(args) -> int:
     for action in commands.choices[command]._actions:
         if action.dest != "help" and action.dest not in stored:
             raise InputError(f"manifest {args.manifest_file} lacks argument {action.dest!r}")
+        # Older manifests hold ``--thresholds`` as text: parse it as argparse would.
+        if action.type is not None and isinstance(stored[action.dest], str):
+            stored[action.dest] = action.type(stored[action.dest])
     return COMMANDS[command](argparse.Namespace(**stored))
 
 
@@ -357,6 +358,17 @@ COMMANDS = {
     "experiment": cmd_experiment,
     "rerun": cmd_rerun,
 }
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
 
 
 def _default_workers() -> int:
@@ -442,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--twist-peak", type=float, default=None,
                    help="is: largest twisted extinction rate")
     r.add_argument("--sims", type=int, default=10_000, help="is replicates")
-    r.add_argument("--thresholds", default=None,
+    r.add_argument("--thresholds", type=_int_list, default=None,
                    help="split: comma list of descending occupancy levels")
     r.add_argument("--levels", type=int, default=4,
                    help="split: number of geometric levels")
@@ -463,10 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(h)
     h.add_argument("--e-min", type=float, required=True)
     h.add_argument("--e-max", type=float, required=True)
-    h.add_argument("--e-steps", type=int, required=True)
+    h.add_argument("--e-steps", type=_positive_int, required=True)
     h.add_argument("--c-min", type=float, required=True)
     h.add_argument("--c-max", type=float, required=True)
-    h.add_argument("--c-steps", type=int, required=True)
+    h.add_argument("--c-steps", type=_positive_int, required=True)
     h.add_argument("--gens", type=int, required=True)
     h.add_argument("--method", default="auto", choices=("auto", "exact", "sim"))
     h.add_argument("--cap", type=int, default=exact.EXACT_CAP_DEFAULT,

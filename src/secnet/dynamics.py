@@ -16,8 +16,8 @@ route, here and in ``rareevent``, advances the chain through it; a CSR
 adjacency on large sparse graphs counts neighbours exactly as the dense one.
 
 States are integer bitmasks (bit ``i`` set means patch ``i`` is occupied);
-state ``0`` is absorbing.  ``step`` and ``simulate`` operate on single
-states, ``estimate_crude`` runs a vectorised batch of replicates with
+state ``0`` is absorbing.  ``simulate`` follows a single state,
+``estimate_crude`` runs a vectorised batch of replicates with
 scheduler-independent RNG streams derived from a master seed.
 
 ``write_csv`` is the one result-table format: every CSV the package writes
@@ -51,7 +51,6 @@ __all__ = [
     "seed_sequence",
     "simulate",
     "state_to_array",
-    "step",
     "write_csv",
     "write_report_csv",
     "write_trajectory_csv",
@@ -69,7 +68,10 @@ BLOCK_REPS = 1024
 # With integer CSR counts in C order, steps of 1024 replicates ran 1.4-2.5x faster
 # than dense inside the bounds, 1.0-1.3x at n = 200 or density 0.05-0.3, and
 # 0.97-1.05x at n = 100, density 0.1-0.3 (one BLAS thread).  Equal counts: a speed
-# cut-off only.
+# cut-off only.  The dense path stays for small graphs: a step at n = 10, density
+# 0.7, took 8 / 33 / 104 us dense against 33 / 73 / 143 us by CSR for 1 / 256 /
+# 1024 replicates, and 92 against 123 us at n = 100, density 0.3, for IPS's 64
+# (best of 5 x 200 steps, one BLAS thread); the CSR also imports scipy.
 SPARSE_MIN_N = 300
 SPARSE_MAX_DENSITY = 0.025
 
@@ -194,13 +196,6 @@ class Kernel:
         o = (source @ self.adjacency).astype(np.intp, order="C")
         colonised = ~survivors & (rng.random(occ.shape) < self.pcol[o])
         return survivors, survivors | colonised
-
-
-def step(graph: Graph, params: Params, state: int, rng: np.random.Generator) -> int:
-    """One generation from a bitmask state; returns the next bitmask."""
-    kernel = Kernel.prepare(graph, params)
-    _, nxt = kernel.step(kernel.start(state, 1), rng)
-    return array_to_state(nxt[0])
 
 
 @dataclass(frozen=True)

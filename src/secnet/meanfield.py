@@ -30,7 +30,6 @@ from .dynamics import Params
 from .netgen import ConvergenceError, Graph, leading_adjacency_eigenvalue
 
 __all__ = [
-    "MeanFieldTrajectory",
     "ThresholdReport",
     "mf_iterate",
     "mf_threshold",
@@ -43,18 +42,6 @@ DECAY_SLACK = 1e-9
 DECAY_HORIZON = 200
 TAIL_START = 50
 TAIL_WINDOW = 25
-
-
-@dataclass(frozen=True)
-class MeanFieldTrajectory:
-    """Occupancy probabilities ``p[t, i]`` of patch ``i`` after ``t``
-    generations; ``p[0]`` is the start."""
-
-    p: np.ndarray
-
-    @property
-    def n_gen(self) -> int:
-        return self.p.shape[0] - 1
 
 
 def _mf_step(p: np.ndarray, adjacency, params: Params) -> np.ndarray:
@@ -73,11 +60,13 @@ def _mf_step(p: np.ndarray, adjacency, params: Params) -> np.ndarray:
     return survive + omega * (1.0 - survive)
 
 
-def mf_iterate(graph: Graph, params: Params, p0, n_gen: int) -> MeanFieldTrajectory:
+def mf_iterate(graph: Graph, params: Params, p0, n_gen: int) -> np.ndarray:
     """Iterate the mean-field map ``n_gen`` generations from ``p0``.
 
-    ``p0`` may be a scalar or a length-``n`` vector of probabilities.
-    All iterates stay in ``[0, 1]`` by construction.
+    Returns an ``(n_gen + 1, n)`` array whose row ``t`` holds the patches'
+    occupancy probabilities after ``t`` generations (row 0 is ``p0``).
+    ``p0`` may be a scalar or a length-``n`` vector of probabilities.  All
+    iterates stay in ``[0, 1]`` by construction.
     """
     if n_gen < 0:
         raise ValueError("n_gen must be >= 0")
@@ -89,7 +78,7 @@ def mf_iterate(graph: Graph, params: Params, p0, n_gen: int) -> MeanFieldTraject
     ps[0] = p
     for t in range(n_gen):
         ps[t + 1] = _mf_step(ps[t], adjacency, params)
-    return MeanFieldTrajectory(ps)
+    return ps
 
 
 @dataclass(frozen=True)
@@ -120,24 +109,10 @@ class ThresholdReport:
     fixed_point_degenerate: bool
     iterations: int
 
-    def to_dict(self) -> dict:
-        d = {
-            "lambda1": self.lambda1,
-            "e_over_c": self.e_over_c,
-            "regime": self.regime,
-            "decay_bound": self.decay_bound,
-            "decay_verified": self.decay_verified,
-            "tail_ratio_max": self.tail_ratio_max,
-            "fixed_point": None if self.fixed_point is None else [float(x) for x in self.fixed_point],
-            "fixed_point_degenerate": self.fixed_point_degenerate,
-            "iterations": self.iterations,
-        }
-        return d
 
 
 def _tail_ratios(graph: Graph, params: Params) -> list[float]:
-    traj = mf_iterate(graph, params, 1.0, DECAY_HORIZON)
-    peaks = traj.p.max(axis=1)
+    peaks = mf_iterate(graph, params, 1.0, DECAY_HORIZON).max(axis=1)
     ratios = []
     for t in range(TAIL_START, DECAY_HORIZON):
         if peaks[t] <= 1e-280:  # keep ratios clear of the denormal floor

@@ -16,9 +16,8 @@ connectivity by rejection: the whole edge set is redrawn until it spans a
 single component or the draw cap is hit.  The lattice and preferential
 attachment constructions are connected by design.
 
-Also provided: the leading adjacency eigenvalue via power iteration, summary
-metrics, a density-to-edge-count conversion, and canonical JSON / edge-list
-file formats.
+Also provided: the leading adjacency eigenvalue via power iteration, a
+density-to-edge-count conversion, and a canonical JSON file format.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "ConvergenceError",
     "GenerationError",
     "Graph",
-    "GraphMetrics",
     "TopologySpec",
     "TOPOLOGY_KINDS",
     "density_to_n_edges",
@@ -44,7 +42,6 @@ __all__ = [
     "gen_erdos_renyi",
     "gen_lattice",
     "gen_pref_attach",
-    "graph_metrics",
     "leading_adjacency_eigenvalue",
     "read_graph_json",
     "write_graph_json",
@@ -52,6 +49,7 @@ __all__ = [
 
 # Rejection caps and iteration limits.
 MAX_DRAWS = 10_000
+LATTICE_FILLS = 100
 EIG_TOL = 1e-10
 EIG_MAX_ITER = 100_000
 
@@ -268,13 +266,7 @@ def gen_community(
     )
 
 
-def gen_lattice(
-    n: int,
-    n_edges: int,
-    rng: np.random.Generator,
-    allow_fallback: bool = True,
-    max_restarts: int = 100,
-) -> Graph:
+def gen_lattice(n: int, n_edges: int, rng: np.random.Generator) -> Graph:
     """Near-regular graph: ring backbone plus degree-targeted uniform fill.
 
     Every node is assigned a target degree equal to one of the two integers
@@ -283,10 +275,9 @@ def gen_lattice(
     most one.  Starting from a cycle through all nodes (a path when
     ``n_edges == n - 1``), the remaining edges are placed uniformly among
     pairs of nodes with unmet targets; a fill that dead-ends is restarted
-    with a fresh target assignment.  If ``max_restarts`` fills all fail, a
+    with a fresh target assignment.  If ``LATTICE_FILLS`` fills all fail, a
     deterministic ring-distance construction takes over (degree spread at
-    most two) unless ``allow_fallback`` is False, in which case the
-    generator raises.
+    most two).
     """
     _check_counts(n, n_edges)
     if n_edges == n - 1:
@@ -298,18 +289,13 @@ def gen_lattice(
     low = 2 * n_edges // n
     n_high = 2 * n_edges - n * low
     remaining = n_edges - n
-    for _ in range(max_restarts):
+    for _ in range(LATTICE_FILLS):
         targets = np.full(n, low, dtype=np.intp)
         if n_high:
             targets[rng.choice(n, size=n_high, replace=False)] += 1
         extra = _fill_to_targets(n, base, remaining, targets, rng)
         if extra is not None:
             return Graph(n, tuple(base) + tuple(extra))
-    if not allow_fallback:
-        raise GenerationError(
-            f"could not realise degrees {{{low}, {low + 1}}} in "
-            f"{max_restarts} fills (n={n}, n_edges={n_edges})"
-        )
     return _ring_distance_graph(n, n_edges, rng)
 
 
@@ -457,7 +443,7 @@ def _pa_arrival_counts(n: int, n_edges: int, rng: np.random.Generator) -> list[i
 
 
 # ---------------------------------------------------------------------------
-# spectral / metrics
+# spectral
 # ---------------------------------------------------------------------------
 
 def leading_adjacency_eigenvalue(graph: Graph) -> float:
@@ -480,35 +466,6 @@ def leading_adjacency_eigenvalue(graph: Graph) -> float:
         x = y / np.linalg.norm(y)
     raise ConvergenceError(
         f"power iteration did not reach tol={EIG_TOL} in {EIG_MAX_ITER} steps")
-
-
-@dataclass(frozen=True)
-class GraphMetrics:
-    """Summary statistics of a graph."""
-
-    n: int
-    n_edges: int
-    density: float
-    degree_sequence: tuple[int, ...]
-    max_degree: int
-    mean_degree: float
-    lambda1: float
-    connected: bool
-
-
-def graph_metrics(graph: Graph) -> GraphMetrics:
-    """Compute density, degree statistics and the leading eigenvalue."""
-    deg = graph.degrees
-    return GraphMetrics(
-        n=graph.n,
-        n_edges=graph.n_edges,
-        density=graph.density,
-        degree_sequence=tuple(sorted((int(d) for d in deg), reverse=True)),
-        max_degree=int(deg.max()) if graph.n else 0,
-        mean_degree=float(deg.mean()),
-        lambda1=leading_adjacency_eigenvalue(graph),
-        connected=graph.is_connected(),
-    )
 
 
 # ---------------------------------------------------------------------------

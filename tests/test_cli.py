@@ -43,9 +43,16 @@ def test_generate_writes_graph_and_manifest(tmp_path, capsys):
     graph = netgen.read_graph_json(out)
     assert graph.n == 8 and graph.n_edges == 12
     lines = capsys.readouterr().out.splitlines()
-    assert "n = 8" in lines
-    assert "edges = 12" in lines
-    assert f"fingerprint = {graph.fingerprint()}" in lines
+    lam1 = netgen.leading_adjacency_eigenvalue(graph)
+    assert lines == [
+        "n = 8",
+        "edges = 12",
+        f"density = {12 / 28:.6g}",
+        "connected = True",
+        f"degree_mean/max = 3/{max(graph.degrees)}",
+        f"leading_eigenvalue = {lam1:.10g}",
+        f"fingerprint = {graph.fingerprint()}",
+    ]
     manifest = read_manifest(out)
     assert manifest["tool"] == "secnet"
     assert manifest["command"] == "generate"
@@ -109,6 +116,39 @@ def test_cheap_imports_do_not_load_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_small_graph_routes_do_not_load_scipy():
+    # Small dense graphs never need scipy on these routes, and importing
+    # scipy.sparse alone costs a process about 15 MiB and 0.2 s, against a
+    # peak near 40 MiB for a small-graph factorial run.
+    code = """
+import sys
+import numpy as np
+import secnet.cli
+from secnet import exact, netgen, rareevent
+from secnet.dynamics import Params, all_occupied
+from secnet.experiment import Design, TopologyFactor, run_factorial
+
+base = dict(name="t", n=8, topologies=(TopologyFactor("ER", "ER"),), n_gen=40,
+            n_edges_values=(12,), n_network_replicates=1, n_sim_reps=400)
+rows = run_factorial(Design(**base, e_values=(0.3,), c_values=(0.3,), estimator="exact"))
+rows += run_factorial(Design(**base, ec_pairs=((0.85, 0.02), (0.02, 0.6)), estimator="crude"))
+g = netgen.gen_erdos_renyi(10, 20, np.random.default_rng(1))
+params, z0 = Params(0.3, 0.3), all_occupied(10)
+rareevent.is_extinction(g, params, z0, 10, rareevent.default_twist_schedule(0.3, 10), 200, 1)
+rareevent.split_extinction(g, params, z0, 10, rareevent.SplittingConfig((5, 2), 20), 2,
+                           n_replications=2)
+rareevent.ips_persistence(g, params, z0, 10, 64, 3, n_batches=2)
+exact.finite_horizon(exact.build_transition(g, params), z0, 10)
+print(sorted({r.persistence_method for r in rows}))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["['exact', 'ips', 'is']", "[]"]
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -163,6 +203,18 @@ def test_exact_over_cap_exits_4(tmp_path, capsys):
                "--gens", "5", "--out", str(tmp_path / "h.csv")])
     assert rc == EXIT_COMPUTE
     assert "cap" in capsys.readouterr().err
+
+
+def test_exact_mean_time_from_the_empty_state_writes_nothing(tmp_path, graph_file, capsys):
+    out = tmp_path / "h.csv"
+    rc = main(["exact", "--graph", str(graph_file), "--e", "0.3", "--c", "0.3",
+               "--gens", "5", "--z0", "0", "--out", str(out),
+               "--qsd", str(tmp_path / "q.csv"), "--mean-time"])
+    assert rc == EXIT_COMPUTE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-empty" in captured.err
+    assert list(tmp_path.iterdir()) == [graph_file]
 
 
 def test_bad_initial_state_exits_3(tmp_path, graph_file, capsys):
@@ -261,6 +313,25 @@ def test_rare_split_with_explicit_thresholds(tmp_path, graph_file):
     assert payload["diagnostics"]["thresholds"] == [4, 2, 1, 0]
     lines = diag.read_text().splitlines()
     assert lines[0] == "threshold,mean_attempts,first_run_estimate"
+    # manifests written while the option was plain text still replay
+    manifest = read_manifest(out)
+    assert manifest["args"]["thresholds"] == [4, 2, 1]
+    manifest["args"]["thresholds"] = "4,2,1"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest))
+    again = tmp_path / "again.json"
+    assert main(["rerun", "--manifest", str(old), "--out", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
+
+
+def test_rare_split_bad_threshold_list_exits_2(tmp_path, graph_file):
+    out = tmp_path / "split.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["rare", "--graph", str(graph_file), "--e", "0.15", "--c", "0.4",
+              "--gens", "15", "--method", "split", "--thresholds", "4,x",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +349,21 @@ def test_meanfield_prints_report_and_writes_trajectory(tmp_path, graph_file, cap
     assert header == "t," + ",".join(f"p{i}" for i in range(6))
     manifest = read_manifest(out)
     assert manifest["args"]["report"]["regime"] == "subcritical"
+    assert manifest["args"]["report"]["fixed_point"] is None
+
+
+def test_meanfield_fixed_point_is_a_json_list(tmp_path, graph_file, capsys):
+    out = tmp_path / "mf.csv"
+    rc = main(["meanfield", "--graph", str(graph_file), "--e", "0.2",
+               "--c", "0.5", "--out", str(out)])
+    assert rc == 0
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    report = read_manifest(out)["args"]["report"]
+    assert report["regime"] == printed["regime"] == "supercritical"
+    fixed = report["fixed_point"]
+    assert isinstance(fixed, list) and len(fixed) == 6
+    assert all(isinstance(x, float) and 0.0 < x < 1.0 for x in fixed)
+    assert printed["fixed_point"] == str(fixed)
 
 
 def test_heatmap_writes_grid_and_contour(tmp_path, graph_file, capsys):
@@ -295,6 +381,18 @@ def test_heatmap_writes_grid_and_contour(tmp_path, graph_file, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 9
     assert contour.exists()
+
+
+@pytest.mark.parametrize("e_steps,c_steps", [("0", "2"), ("2", "0")])
+def test_heatmap_empty_grid_exits_2_before_writing(tmp_path, graph_file, e_steps, c_steps):
+    out = tmp_path / "heat.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["heatmap", "--graph", str(graph_file),
+              "--e-min", "0.1", "--e-max", "0.5", "--e-steps", e_steps,
+              "--c-min", "0.1", "--c-max", "0.5", "--c-steps", c_steps,
+              "--gens", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == [graph_file]
 
 
 def test_heatmap_records_a_seed_only_when_it_simulates(tmp_path, graph_file):

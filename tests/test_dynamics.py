@@ -20,7 +20,6 @@ from secnet.dynamics import (
     estimate_crude,
     simulate,
     state_to_array,
-    step,
     write_report_csv,
     write_trajectory_csv,
 )
@@ -72,7 +71,9 @@ def test_state_codec_round_trip():
 def test_empty_state_is_absorbing():
     rng = np.random.default_rng(0)
     for params in (Params(0.3, 0.7), Params(0.0, 1.0), Params(1.0, 1.0)):
-        assert step(P2, params, 0, rng) == 0
+        kernel = Kernel.prepare(P2, params)
+        survivors, nxt = kernel.step(kernel.start(0, 8), rng)
+        assert not survivors.any() and not nxt.any()
 
 
 def test_no_extinction_means_monotone_growth():
@@ -80,7 +81,7 @@ def test_no_extinction_means_monotone_growth():
     params = Params(e=0.0, c=0.6)
     state = 1
     for _ in range(30):
-        new = step(STAR5, params, state, rng)
+        new = simulate(STAR5, params, state, 1, rng).states[1]
         assert new & state == state  # occupied patches never vanish
         state = new
     assert state == all_occupied(5)  # c > 0 eventually fills the star
@@ -91,7 +92,7 @@ def test_no_colonisation_means_monotone_decay():
     params = Params(e=0.4, c=0.0)
     state = all_occupied(5)
     for _ in range(200):
-        new = step(STAR5, params, state, rng)
+        new = simulate(STAR5, params, state, 1, rng).states[1]
         assert new & ~state == 0  # empty patches stay empty
         state = new
     assert state == 0
@@ -100,7 +101,7 @@ def test_no_colonisation_means_monotone_decay():
 def test_certain_extinction_kills_everything_under_post_source():
     rng = np.random.default_rng(3)
     params = Params(e=1.0, c=1.0)
-    assert step(P2, params, 0b11, rng) == 0
+    assert simulate(P2, params, 0b11, 1, rng).states[1] == 0
 
 
 def test_pre_extinction_source_lets_the_dead_recolonise():
@@ -108,14 +109,14 @@ def test_pre_extinction_source_lets_the_dead_recolonise():
     # recolonised even though every occupied patch dies
     rng = np.random.default_rng(4)
     params = Params(e=1.0, c=1.0, colonisation_source="pre-extinction")
-    assert step(P2, params, 0b01, rng) == 0b10
-    assert step(P2, params, 0b11, rng) == 0b11
+    assert simulate(P2, params, 0b01, 1, rng).states[1] == 0b10
+    assert simulate(P2, params, 0b11, 1, rng).states[1] == 0b11
 
 
 def test_full_colonisation_from_hub():
     rng = np.random.default_rng(5)
     params = Params(e=0.0, c=1.0)
-    assert step(STAR5, params, 0b00001, rng) == all_occupied(5)
+    assert simulate(STAR5, params, 0b00001, 1, rng).states[1] == all_occupied(5)
 
 
 def test_two_patch_kernel_frequencies_post_source():
@@ -125,7 +126,7 @@ def test_two_patch_kernel_frequencies_post_source():
     draws = 20_000
     counts = np.zeros(4)
     for _ in range(draws):
-        counts[step(P2, params, 0b11, rng)] += 1
+        counts[simulate(P2, params, 0b11, 1, rng).states[1]] += 1
     expected = np.array([0.25, 0.125, 0.125, 0.5])
     sigma = np.sqrt(draws * expected * (1 - expected))
     assert np.all(np.abs(counts - draws * expected) < 4 * sigma)
@@ -139,7 +140,7 @@ def test_two_patch_kernel_frequencies_pre_source():
     draws = 20_000
     counts = np.zeros(4)
     for _ in range(draws):
-        counts[step(P2, params, 0b11, rng)] += 1
+        counts[simulate(P2, params, 0b11, 1, rng).states[1]] += 1
     expected = np.array([1, 3, 3, 9]) / 16
     sigma = np.sqrt(draws * expected * (1 - expected))
     assert np.all(np.abs(counts - draws * expected) < 4 * sigma)
@@ -446,7 +447,7 @@ def test_sparse_graphs_never_form_the_dense_adjacency(monkeypatch):
     r = estimate_crude(graph, Params(0.1, 0.1), all_occupied(500), 3, 10, seed=1)
     assert r.persistence.value == 1.0
     traj = mf_iterate(graph, Params(0.1, 0.1), 1.0, 3)
-    assert traj.p.shape == (4, 500) and np.all((traj.p >= 0.0) & (traj.p <= 1.0))
+    assert traj.shape == (4, 500) and np.all((traj >= 0.0) & (traj <= 1.0))
 
 
 def test_hub_counts_past_the_int16_range():
