@@ -3,17 +3,15 @@
 One generation maps an occupancy state through two phases: every occupied
 patch goes extinct independently with probability ``e``, then every patch
 left empty is colonised with probability ``1 - (1 - c) ** o`` where ``o``
-counts its occupied neighbours.  By default the colonisers are the patches
-that survived the extinction phase of the same generation, which matches the
-exact transition matrix built as extinction followed by colonisation; the
-variant where colonisation pressure comes from the pre-extinction state is
-available through ``Params.colonisation_source``.
+counts its neighbours that survived the extinction phase of the same
+generation.  This is the chain the exact operator and the mean-field map
+run too.
 
 ``Kernel`` is the one place the generation map is prepared: it holds the
-adjacency, the colonisation table and the source convention for a
-``(graph, params)`` pair and steps blocks of replicates.  Every simulation
-route, here and in ``rareevent``, advances the chain through it; a CSR
-adjacency on large sparse graphs counts neighbours exactly as the dense one.
+adjacency and the colonisation table for a ``(graph, params)`` pair and
+steps blocks of replicates.  Every simulation route, here and in
+``rareevent``, advances the chain through it; a CSR adjacency on large
+sparse graphs counts neighbours exactly as the dense one.
 
 States are integer bitmasks (bit ``i`` set means patch ``i`` is occupied);
 state ``0`` is absorbing.  ``simulate`` follows a single state,
@@ -56,8 +54,6 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-SOURCES = ("post-extinction", "pre-extinction")
-
 # Replicates are simulated in fixed-size blocks, one RNG stream per block,
 # spawned from the master seed.  The block size is a protocol constant:
 # changing it changes which sample you draw (never its law), so it is not a
@@ -82,26 +78,16 @@ class Params:
 
     ``e``: per-generation extinction probability of an occupied patch.
     ``c``: per-contact colonisation probability.
-    ``colonisation_source``: whether colonisation pressure is computed from
-    the survivors of the current generation's extinction phase (default) or
-    from the pre-extinction state.
     """
 
     e: float
     c: float
-    colonisation_source: str = "post-extinction"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.e <= 1.0:
             raise ValueError(f"e={self.e} outside [0, 1]")
         if not 0.0 <= self.c <= 1.0:
             raise ValueError(f"c={self.c} outside [0, 1]")
-        if self.colonisation_source not in SOURCES:
-            raise ValueError(f"colonisation_source must be one of {SOURCES}")
-
-    @property
-    def post_source(self) -> bool:
-        return self.colonisation_source == "post-extinction"
 
 
 def state_to_array(state: int, n: int) -> np.ndarray:
@@ -153,19 +139,16 @@ def seed_sequence(seed) -> np.random.SeedSequence:
 class Kernel:
     """The generation map of one ``(graph, params)`` pair, prepared once.
 
-    ``pcol[o]`` is the probability that an empty patch with ``o`` occupied
-    neighbours is colonised.  ``post_source`` says whether those neighbours
-    are counted after the extinction phase (default) or before it.
-    ``adjacency`` is the graph's dense float64 matrix, or on sparse graphs its
-    integer CSR ``Graph.sparse_adjacency``; ``source @ adjacency`` counts exactly
-    in both, so draws match.
+    ``pcol[o]`` is the probability that an empty patch with ``o`` surviving
+    neighbours is colonised.  ``adjacency`` is the graph's dense float64
+    matrix, or on sparse graphs its integer CSR ``Graph.sparse_adjacency``;
+    ``survivors @ adjacency`` counts exactly in both, so draws match.
     """
 
     n: int
     adjacency: np.ndarray  # or a scipy.sparse.csr_array
     e: float
     pcol: np.ndarray
-    post_source: bool
 
     @classmethod
     def prepare(cls, graph: Graph, params: Params) -> Kernel:
@@ -173,7 +156,7 @@ class Kernel:
         pcol = 1.0 - (1.0 - params.c) ** np.arange(max_degree + 1)
         sparse = graph.n >= SPARSE_MIN_N and graph.density <= SPARSE_MAX_DENSITY
         adjacency = graph.sparse_adjacency if sparse else graph.adjacency_matrix
-        return cls(graph.n, adjacency, params.e, pcol, params.post_source)
+        return cls(graph.n, adjacency, params.e, pcol)
 
     def start(self, z0: int, reps: int) -> np.ndarray:
         """A writable (reps, n) block with every row in state ``z0``."""
@@ -190,10 +173,9 @@ class Kernel:
         consumption per generation is fixed.
         """
         survivors = occ & (rng.random(occ.shape) >= (self.e if e is None else e))
-        source = survivors if self.post_source else occ
         # A block times a CSR comes back transposed (F-ordered): put the counts
         # in the block's C order before they meet the uniforms.
-        o = (source @ self.adjacency).astype(np.intp, order="C")
+        o = (survivors @ self.adjacency).astype(np.intp, order="C")
         colonised = ~survivors & (rng.random(occ.shape) < self.pcol[o])
         return survivors, survivors | colonised
 

@@ -213,9 +213,6 @@ def _times_r(tm: TransitionMatrices, x: np.ndarray) -> np.ndarray:
 
 
 def _operator(graph: Graph, params: Params) -> TransitionMatrices:
-    if not params.post_source:
-        raise ValueError("exact propagation is defined for the post-extinction "
-                         "colonisation source; pre-extinction is simulation-only")
     p_set = _colonisation_probabilities(graph, params.c)
     return TransitionMatrices(graph.n, params.e, params.c, p_set, _sweep_tables(p_set))
 
@@ -225,12 +222,7 @@ def build_transition(
     params: Params,
     cap: int = EXACT_CAP_DEFAULT,
 ) -> TransitionMatrices:
-    """The one-generation operator for a graph and parameters.
-
-    Requires the default post-extinction colonisation source: ``apply``
-    feeds the survivors of the extinction phase into the colonisation
-    phase, which is exactly that convention.
-    """
+    """The one-generation operator for a graph and parameters."""
     _check_cap(graph.n, cap)
     return _operator(graph, params)
 

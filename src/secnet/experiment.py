@@ -12,9 +12,9 @@ for all its rate pairs.  Estimator streams are pure functions of the
 design and indices: results are byte-identical however work is scheduled.
 
 ``variance_decomposition`` performs the classical balanced ANOVA sum-of-
-squares split (main effects and interactions up to a chosen order, shares
-of total) on logit persistence or occupancy; ``scenario_presets`` returns
-ten ready-made single-topology designs over two network sizes, and
+squares split (every main effect and interaction, shares of total) on
+logit persistence or occupancy; ``scenario_presets`` returns ten
+ready-made single-topology designs over two network sizes, and
 ``scenario_compare`` renders topology orderings with coarse relation
 symbols.
 """
@@ -117,6 +117,14 @@ class Design:
                            tuple((float(e), float(c)) for e, c in self.ec_pairs))
         object.__setattr__(self, "densities", tuple(self.densities))
         object.__setattr__(self, "n_edges_values", tuple(self.n_edges_values))
+        counts = {name: getattr(self, name) for name in (
+            "n", "n_gen", "n_network_replicates", "n_sim_reps", "exact_cap",
+            "escalate_below_events", "master_seed")}
+        counts.update((f"n_edges_values[{i}]", v) for i, v in enumerate(self.n_edges_values))
+        not_int = [k for k, v in counts.items()
+                   if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+        if not_int:
+            raise ValueError(f"{', '.join(not_int)} must be integers")
         if bool(self.ec_pairs) == bool(self.e_values):
             raise ValueError("give either e_values x c_values or ec_pairs")
         if self.e_values and not self.c_values:
@@ -377,7 +385,6 @@ def _response_value(row: ResultRow, response: str) -> float:
 def variance_decomposition(
     rows: list[ResultRow],
     response: str = "logit_persistence",
-    max_order: int | None = None,
 ) -> VarianceTable:
     """Balanced factorial ANOVA decomposition of a response.
 
@@ -425,40 +432,22 @@ def variance_decomposition(
     if ss_total <= 0.0:
         return VarianceTable(response, (), 0.0, 0.0, 0.0, float("nan"), True)
 
-    if max_order is None:
-        max_order = len(factors)
-    row_keys = {
-        f: np.array([levels[f].index(factor_of[f](r)) for r in rows])
-        for f in factors
-    }
-    # Per-subset cell means, then inclusion-exclusion for the effect terms.
-    means: dict[tuple, dict] = {(): {(): grand}}
-    for order in range(1, len(factors) + 1):
-        for subset in itertools.combinations(factors, order):
-            sums: dict[tuple, list] = {}
-            for i in range(len(rows)):
-                key = tuple(int(row_keys[f][i]) for f in subset)
-                acc = sums.setdefault(key, [0.0, 0])
-                acc[0] += y[i]
-                acc[1] += 1
-            means[subset] = {k: s / cnt for k, (s, cnt) in sums.items()}
-
+    # One array indexed by level: axis k runs over factor k's levels and the
+    # last axis over a cell's replicates.
+    index = [np.array([levels[f].index(factor_of[f](r)) for r in rows]) for f in factors]
+    cube = y[np.lexsort(index[::-1])].reshape(*(len(levels[f]) for f in factors), -1)
     terms = []
     ss_explained = 0.0
-    for order in range(1, max_order + 1):
-        for subset in itertools.combinations(factors, order):
-            ss = 0.0
-            for i in range(len(rows)):
-                key = {f: int(row_keys[f][i]) for f in subset}
-                effect = 0.0
-                for r_ord in range(order + 1):
-                    for sub in itertools.combinations(subset, r_ord):
-                        sign = (-1) ** (order - r_ord)
-                        effect += sign * means[sub][tuple(key[f] for f in sub)]
-                ss += effect * effect
-            ss = float(ss)
+    for order in range(1, len(factors) + 1):
+        for axes in itertools.combinations(range(len(factors)), order):
+            effect = cube.mean(axis=tuple(a for a in range(cube.ndim) if a not in axes))
+            # Centring along each of the term's axes is the inclusion-exclusion
+            # over its lower-order terms.
+            for a in range(order):
+                effect = effect - effect.mean(axis=a, keepdims=True)
+            ss = float(y.size / effect.size * (effect ** 2).sum())
             ss_explained += ss
-            terms.append((":".join(subset), ss, ss / ss_total))
+            terms.append((":".join(factors[a] for a in axes), ss, ss / ss_total))
     residual = max(0.0, ss_total - ss_explained)
     return VarianceTable(
         response=response,

@@ -8,16 +8,15 @@ independence approximation of the kernel iterates
 
 i.e. a patch is empty next generation exactly when it is empty after the
 extinction phase and no neighbour colonises it.  The colonisation-escape
-factor is a product over neighbours ``j`` of ``(1 - c * s[j, t])`` where
-``s`` is the occupancy of the colonisation source: ``(1 - e) * p[j, t]``
-under the default post-extinction convention (survivors colonise, matching
-the exact chain) or ``p[j, t]`` under the pre-extinction variant.
+factor is a product over neighbours ``j`` of ``(1 - c * (1 - e) * p[j, t])``:
+the survivors of the extinction phase colonise, as in the kernel and the
+exact chain.
 
 Linearising at zero gives the classic spectral threshold: occupancy decays
 to zero when ``e / c`` exceeds the leading adjacency eigenvalue, and under
 the stronger condition ``e / (c * (1 - e)) > lambda_1`` the decay is
 geometric with ratio at most ``1 - e + c * (1 - e) * lambda_1``, which is
-exactly the spectral radius of the post-extinction linearisation.
+exactly the spectral radius of the map's linearisation at zero.
 """
 
 from __future__ import annotations
@@ -46,17 +45,16 @@ TAIL_WINDOW = 25
 
 def _mf_step(p: np.ndarray, adjacency, params: Params) -> np.ndarray:
     """One generation of the map; ``adjacency`` is the graph's sparse one."""
-    source = (1.0 - params.e) * p if params.post_source else p
+    survive = (1.0 - params.e) * p
     # Work with the colonisation probability omega = 1 - zeta through
     # log1p/expm1 and combine as survive + omega * (1 - survive): the naive
     # 1 - zeta * (1 - p(1-e)) cancels catastrophically once occupancies
     # reach machine epsilon and freezes the decay at a spurious fixed point.
-    # The escape sum runs over stored edges only: at c * s = 1 a dense
+    # The escape sum runs over stored edges only: at c * survive = 1 a dense
     # product would add 0 * log1p(-1) = nan for every non-edge.
     with np.errstate(divide="ignore"):
-        log_zeta = adjacency @ np.log1p(-params.c * source)
+        log_zeta = adjacency @ np.log1p(-params.c * survive)
     omega = -np.expm1(log_zeta)
-    survive = (1.0 - params.e) * p
     return survive + omega * (1.0 - survive)
 
 
@@ -94,9 +92,8 @@ class ThresholdReport:
     ``decay_verified`` states whether iterated tail ratios stayed under the
     bound.  In the supercritical regime ``fixed_point`` holds the nonzero
     equilibrium reached from all-ones, unless the iteration collapsed to
-    zero (possible in the band between the two spectral conditions under
-    the post-extinction source), in which case it is None and
-    ``fixed_point_degenerate`` is set.
+    zero (possible in the band between the two spectral conditions), in
+    which case it is None and ``fixed_point_degenerate`` is set.
     """
 
     lambda1: float

@@ -533,6 +533,12 @@ def write_graph_json(graph: Graph, path: str | Path) -> None:
 
 
 def read_graph_json(path: str | Path) -> Graph:
+    """The format ``write_graph_json`` writes; ``n`` and every endpoint must
+    be a JSON integer (``1.9`` or ``true`` would otherwise load as 1)."""
     payload = json.loads(Path(path).read_text())
-    return Graph(int(payload["n"]), tuple((int(u), int(v)) for u, v in payload["edges"]))
+    n, edges = payload["n"], [tuple(pair) for pair in payload["edges"]]
+    values = [n, *(x for pair in edges for x in pair)]
+    if any(type(x) is not int for x in values):
+        raise ValueError("n and edge endpoints must be integers")
+    return Graph(n, edges)
 

@@ -195,6 +195,23 @@ def test_exact_missing_graph_exits_3(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [
+    {"n": 3, "edges": [[0, 1.9], [1, 2]]},
+    {"n": 3, "edges": [[0, True], [1, 2]]},
+    {"n": 3.0, "edges": [[0, 1], [1, 2]]},
+    {"n": True, "edges": []},
+], ids=["float-endpoint", "bool-endpoint", "float-n", "bool-n"])
+def test_exact_non_integer_graph_file_exits_3(tmp_path, capsys, payload):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(payload))
+    out = tmp_path / "h.csv"
+    rc = main(["exact", "--graph", str(gpath), "--e", "0.3", "--c", "0.3",
+               "--gens", "5", "--out", str(out)])
+    assert rc == EXIT_INPUT
+    assert "bad graph file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exact_over_cap_exits_4(tmp_path, capsys):
     big = netgen.gen_erdos_renyi(16, 30, np.random.default_rng(0))
     gpath = tmp_path / "big.json"
@@ -486,7 +503,15 @@ def test_experiment_one_patch_design_exits_3(tmp_path, capsys):
     {"n_edges_values": [2]},
     {"n_edges_values": [], "densities": [0.01]},
     {"n_edges_values": [99]},
-], ids=["rate", "pa-power", "kind", "few-edges", "low-density", "many-edges"])
+    {"n_network_replicates": 2.5},
+    {"n": 6.0},
+    {"master_seed": 1.5},
+    {"n_sim_reps": 100.5, "estimator": "crude"},
+    {"n_gen": True},
+    {"n_edges_values": [8.0]},
+], ids=["rate", "pa-power", "kind", "few-edges", "low-density", "many-edges",
+        "float-replicates", "float-n", "float-seed", "float-sim-reps", "bool-n-gen",
+        "float-edges"])
 def test_experiment_design_every_row_would_reject_exits_3(tmp_path, capsys, change):
     d = small_design_dict()
     d.update(change)

@@ -48,10 +48,6 @@ def test_params_validation():
         Params(e=-0.1, c=0.5)
     with pytest.raises(ValueError):
         Params(e=0.5, c=1.5)
-    with pytest.raises(ValueError):
-        Params(e=0.5, c=0.5, colonisation_source="sideways")
-    assert Params(e=0.1, c=0.1).post_source
-    assert not Params(e=0.1, c=0.1, colonisation_source="pre-extinction").post_source
 
 
 def test_state_codec_round_trip():
@@ -98,19 +94,10 @@ def test_no_colonisation_means_monotone_decay():
     assert state == 0
 
 
-def test_certain_extinction_kills_everything_under_post_source():
+def test_certain_extinction_kills_everything():
     rng = np.random.default_rng(3)
     params = Params(e=1.0, c=1.0)
     assert simulate(P2, params, 0b11, 1, rng).states[1] == 0
-
-
-def test_pre_extinction_source_lets_the_dead_recolonise():
-    # with e=1 and c=1, patch 1 sees its pre-extinction neighbour and is
-    # recolonised even though every occupied patch dies
-    rng = np.random.default_rng(4)
-    params = Params(e=1.0, c=1.0, colonisation_source="pre-extinction")
-    assert simulate(P2, params, 0b01, 1, rng).states[1] == 0b10
-    assert simulate(P2, params, 0b11, 1, rng).states[1] == 0b11
 
 
 def test_full_colonisation_from_hub():
@@ -119,7 +106,7 @@ def test_full_colonisation_from_hub():
     assert simulate(STAR5, params, 0b00001, 1, rng).states[1] == all_occupied(5)
 
 
-def test_two_patch_kernel_frequencies_post_source():
+def test_two_patch_kernel_frequencies():
     # from (1,1) with e=c=1/2: stay w.p. 1/2, die w.p. 1/4, each single 1/8
     rng = np.random.default_rng(6)
     params = Params(e=0.5, c=0.5)
@@ -128,20 +115,6 @@ def test_two_patch_kernel_frequencies_post_source():
     for _ in range(draws):
         counts[simulate(P2, params, 0b11, 1, rng).states[1]] += 1
     expected = np.array([0.25, 0.125, 0.125, 0.5])
-    sigma = np.sqrt(draws * expected * (1 - expected))
-    assert np.all(np.abs(counts - draws * expected) < 4 * sigma)
-
-
-def test_two_patch_kernel_frequencies_pre_source():
-    # pre-extinction sources add the S=0 recolonisation branch:
-    # P(0)=1/16, P(1)=P(2)=3/16, P(3)=9/16
-    rng = np.random.default_rng(7)
-    params = Params(e=0.5, c=0.5, colonisation_source="pre-extinction")
-    draws = 20_000
-    counts = np.zeros(4)
-    for _ in range(draws):
-        counts[simulate(P2, params, 0b11, 1, rng).states[1]] += 1
-    expected = np.array([1, 3, 3, 9]) / 16
     sigma = np.sqrt(draws * expected * (1 - expected))
     assert np.all(np.abs(counts - draws * expected) < 4 * sigma)
 
@@ -257,69 +230,50 @@ def test_report_csv(tmp_path):
 
 G6 = Graph(6, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)))
 
-# Fixed-seed outputs of RNG protocol v1, one entry per colonisation source.
+# Fixed-seed outputs of RNG protocol v1.
 # They pin which sample each route draws, not only its law: a refactor of
 # the kernel or of an estimator must reproduce them bit for bit, and a
 # deliberate protocol change must get a new version rather than new values.
 PROTOCOL_V1 = {
-    "post-extinction": {
-        "crude": (0.9297153024911032, 0.007624690577992279,
-                  3.9955516014234878, 0.05195311779486412,
-                  4.297607655502392, 0.043352641440421336),
-        "persistence_series": (1.0, 1.0, 0.9919928825622776, 0.9786476868327402,
-                               0.9608540925266904, 0.9297153024911032),
-        "occupancy_series": (6.0, 5.1361209964412815, 4.627224199288256,
-                             4.364768683274021, 4.114768683274021, 3.9955516014234878),
-        "conditional_occupancy_series": (6.0, 5.1361209964412815, 4.66457399103139,
-                                         4.46, 4.282407407407407, 4.297607655502392),
-        "simulate": (45, 53, 60, 62, 52, 47, 47, 63, 31, 26, 11, 15, 13),
-        "ips": (0.5201408288041205, 0.035953637009514955),
-        "is": (0.04775819601231724, 0.005955430861086739),
-        "split": (0.06841867228880959, 0.01451425332968939),
-    },
-    "pre-extinction": {
-        "crude": (0.9991103202846975, 0.0008892838622393913,
-                  5.05338078291815, 0.029125981556804292,
-                  5.057880676758682, 0.02880190661005617),
-        "persistence_series": (1.0, 1.0, 1.0, 1.0, 1.0, 0.9991103202846975),
-        "occupancy_series": (6.0, 5.406583629893238, 5.1788256227758005,
-                             5.1263345195729535, 5.038256227758007, 5.05338078291815),
-        "conditional_occupancy_series": (6.0, 5.406583629893238, 5.1788256227758005,
-                                         5.1263345195729535, 5.038256227758007,
-                                         5.057880676758682),
-        "simulate": (45, 53, 60, 62, 53, 47, 47, 63, 31, 27, 11, 15, 13),
-        "ips": (0.9563761599999999, 0.025094730662277846),
-        "is": (0.003502553472203093, 0.0011207010010518173),
-        "split": (0.002957205492872388, 0.00029436110417731227),
-    },
+"crude": (0.9297153024911032, 0.007624690577992279,
+          3.9955516014234878, 0.05195311779486412,
+          4.297607655502392, 0.043352641440421336),
+"persistence_series": (1.0, 1.0, 0.9919928825622776, 0.9786476868327402,
+                       0.9608540925266904, 0.9297153024911032),
+"occupancy_series": (6.0, 5.1361209964412815, 4.627224199288256,
+                     4.364768683274021, 4.114768683274021, 3.9955516014234878),
+"conditional_occupancy_series": (6.0, 5.1361209964412815, 4.66457399103139,
+                                 4.46, 4.282407407407407, 4.297607655502392),
+"simulate": (45, 53, 60, 62, 52, 47, 47, 63, 31, 26, 11, 15, 13),
+"ips": (0.5201408288041205, 0.035953637009514955),
+"is": (0.04775819601231724, 0.005955430861086739),
+"split": (0.06841867228880959, 0.01451425332968939),
 }
 
 
 def test_rng_protocol_v1_outputs_are_pinned():
     full = all_occupied(6)
-    for source, want in PROTOCOL_V1.items():
-        crude_params = Params(0.3, 0.4, source)
-        rare_params = Params(0.2, 0.3, source)
-        r = estimate_crude(G6, crude_params, full, 5, BLOCK_REPS + 100, seed=2024)
-        got_crude = tuple(float(x) for est in (r.persistence, r.occupancy,
-                                               r.conditional_occupancy)
-                          for x in (est.value, est.se))
-        assert got_crude == want["crude"], source
-        assert tuple(r.persistence_series) == want["persistence_series"], source
-        assert tuple(r.occupancy_series) == want["occupancy_series"], source
-        assert tuple(r.conditional_occupancy_series) == \
-            want["conditional_occupancy_series"], source
-        traj = simulate(G6, crude_params, 0b101101, 12, np.random.default_rng(7))
-        assert traj.states == want["simulate"], source
-        ips = ips_persistence(G6, Params(0.35, 0.3, source), full, 10, 50,
-                              seed=3, n_batches=4)
-        assert (ips.value, ips.se) == want["ips"], source
-        is_ = is_extinction(G6, rare_params, full, 8,
-                            default_twist_schedule(0.2, 8), 300, seed=4)
-        assert (is_.value, is_.se) == want["is"], source
-        sp = split_extinction(G6, rare_params, full, 10, SplittingConfig((4, 2), 10),
-                              seed=5, n_replications=3)
-        assert (sp.value, sp.se) == want["split"], source
+    want = PROTOCOL_V1
+    crude_params = Params(0.3, 0.4)
+    rare_params = Params(0.2, 0.3)
+    r = estimate_crude(G6, crude_params, full, 5, BLOCK_REPS + 100, seed=2024)
+    got_crude = tuple(float(x) for est in (r.persistence, r.occupancy,
+                                           r.conditional_occupancy)
+                      for x in (est.value, est.se))
+    assert got_crude == want["crude"]
+    assert tuple(r.persistence_series) == want["persistence_series"]
+    assert tuple(r.occupancy_series) == want["occupancy_series"]
+    assert tuple(r.conditional_occupancy_series) == want["conditional_occupancy_series"]
+    traj = simulate(G6, crude_params, 0b101101, 12, np.random.default_rng(7))
+    assert traj.states == want["simulate"]
+    ips = ips_persistence(G6, Params(0.35, 0.3), full, 10, 50, seed=3, n_batches=4)
+    assert (ips.value, ips.se) == want["ips"]
+    is_ = is_extinction(G6, rare_params, full, 8,
+                        default_twist_schedule(0.2, 8), 300, seed=4)
+    assert (is_.value, is_.se) == want["is"]
+    sp = split_extinction(G6, rare_params, full, 10, SplittingConfig((4, 2), 10),
+                          seed=5, n_replications=3)
+    assert (sp.value, sp.se) == want["split"]
 
 
 def _random_graph(n: int, n_edges: int, seed: int) -> Graph:
@@ -335,74 +289,52 @@ def _random_graph(n: int, n_edges: int, seed: int) -> Graph:
 G300 = _random_graph(300, 900, seed=300)
 
 PROTOCOL_V1_SPARSE = {
-    "post-extinction": {
-        "crude": (0.2571174377224199, 0.013035950187036406,
-                  0.6272241992882562, 0.04058205594303322,
-                  2.4394463667820068, 0.09811212432505345),
-        "persistence_series": (1.0, 0.99644128113879, 0.9395017793594306,
-                               0.7784697508896797, 0.5889679715302492,
-                               0.4012455516014235, 0.2571174377224199),
-        "occupancy_series": (12.0, 7.604982206405694, 4.668149466192171,
-                             2.8905693950177938, 1.7072953736654803,
-                             0.9884341637010676, 0.6272241992882562),
-        "conditional_occupancy_series": (12.0, 7.632142857142857, 4.96875,
-                                         3.713142857142857, 2.8987915407854983,
-                                         2.4634146341463414, 2.4394463667820068),
-        "simulate_counts": (12, 8, 9, 6, 2, 1, 0, 0, 0, 0, 0, 0, 0),
-        "simulate_sha256": "8f5e4596006ae0c7d372a994f69bac4c408882a1733e46cc0e4d339e1c308837",
-        "ips": (0.28844361408, 0.030221358242019707),
-        "is": (0.1890580239690377, 0.007341705017806918),
-        "split": (0.25510750119445774, 0.029838506145677197),
-    },
-    "pre-extinction": {
-        "crude": (0.952846975088968, 0.006322417970770975,
-                  7.708185053380783, 0.15976868217729803,
-                  8.089635854341736, 0.1588466060793373),
-        "persistence_series": (1.0, 1.0, 1.0, 0.9991103202846975,
-                               0.9902135231316725, 0.9768683274021353,
-                               0.952846975088968),
-        "occupancy_series": (12.0, 11.792704626334519, 10.930604982206406,
-                             10.197508896797153, 9.26067615658363,
-                             8.431494661921707, 7.708185053380783),
-        "conditional_occupancy_series": (12.0, 11.792704626334519, 10.930604982206406,
-                                         10.206589492430988, 9.352201257861635,
-                                         8.631147540983607, 8.089635854341736),
-        "simulate_counts": (12, 14, 15, 12, 11, 11, 14, 14, 10, 8, 6, 6, 7),
-        "simulate_sha256": "0b2ab9fb24b3e98401d4ecb71cb4a59ac774fb99ba60b90aba56fb20cbaaf96d",
-        "ips": (0.9851, 0.00948736001214249),
-        "is": (0.0010573300888295364, 0.0002529760470189388),
-        "split": (0.003595355360066307, 0.0014261559484033948),
-    },
+"crude": (0.2571174377224199, 0.013035950187036406,
+          0.6272241992882562, 0.04058205594303322,
+          2.4394463667820068, 0.09811212432505345),
+"persistence_series": (1.0, 0.99644128113879, 0.9395017793594306,
+                       0.7784697508896797, 0.5889679715302492,
+                       0.4012455516014235, 0.2571174377224199),
+"occupancy_series": (12.0, 7.604982206405694, 4.668149466192171,
+                     2.8905693950177938, 1.7072953736654803,
+                     0.9884341637010676, 0.6272241992882562),
+"conditional_occupancy_series": (12.0, 7.632142857142857, 4.96875,
+                                 3.713142857142857, 2.8987915407854983,
+                                 2.4634146341463414, 2.4394463667820068),
+"simulate_counts": (12, 8, 9, 6, 2, 1, 0, 0, 0, 0, 0, 0, 0),
+"simulate_sha256": "8f5e4596006ae0c7d372a994f69bac4c408882a1733e46cc0e4d339e1c308837",
+"ips": (0.28844361408, 0.030221358242019707),
+"is": (0.1890580239690377, 0.007341705017806918),
+"split": (0.25510750119445774, 0.029838506145677197),
 }
 
 
 def test_rng_protocol_v1_outputs_are_pinned_on_a_sparse_graph():
     assert not isinstance(Kernel.prepare(G300, Params(0.6, 0.08)).adjacency, np.ndarray)
     z0 = (1 << 12) - 1
-    for source, want in PROTOCOL_V1_SPARSE.items():
-        params = Params(0.6, 0.08, source)
-        rare_params = Params(0.45, 0.08, source)
-        r = estimate_crude(G300, params, z0, 6, BLOCK_REPS + 100, seed=2025)
-        got_crude = tuple(float(x) for est in (r.persistence, r.occupancy,
-                                               r.conditional_occupancy)
-                          for x in (est.value, est.se))
-        assert got_crude == want["crude"], source
-        assert tuple(r.persistence_series) == want["persistence_series"], source
-        assert tuple(r.occupancy_series) == want["occupancy_series"], source
-        assert tuple(r.conditional_occupancy_series) == \
-            want["conditional_occupancy_series"], source
-        traj = simulate(G300, params, z0, 12, np.random.default_rng(8))
-        assert tuple(traj.occupied_counts) == want["simulate_counts"], source
-        assert hashlib.sha256(repr(traj.states).encode()).hexdigest() == \
-            want["simulate_sha256"], source
-        ips = ips_persistence(G300, params, z0, 6, 50, seed=3, n_batches=4)
-        assert (ips.value, ips.se) == want["ips"], source
-        is_ = is_extinction(G300, rare_params, z0, 6, default_twist_schedule(0.45, 6),
-                            BLOCK_REPS + 100, seed=4)
-        assert (is_.value, is_.se) == want["is"], source
-        sp = split_extinction(G300, rare_params, z0, 6, SplittingConfig((6, 2), 10),
-                              seed=5, n_replications=3)
-        assert (sp.value, sp.se) == want["split"], source
+    want = PROTOCOL_V1_SPARSE
+    params = Params(0.6, 0.08)
+    rare_params = Params(0.45, 0.08)
+    r = estimate_crude(G300, params, z0, 6, BLOCK_REPS + 100, seed=2025)
+    got_crude = tuple(float(x) for est in (r.persistence, r.occupancy,
+                                           r.conditional_occupancy)
+                      for x in (est.value, est.se))
+    assert got_crude == want["crude"]
+    assert tuple(r.persistence_series) == want["persistence_series"]
+    assert tuple(r.occupancy_series) == want["occupancy_series"]
+    assert tuple(r.conditional_occupancy_series) == want["conditional_occupancy_series"]
+    traj = simulate(G300, params, z0, 12, np.random.default_rng(8))
+    assert tuple(traj.occupied_counts) == want["simulate_counts"]
+    assert hashlib.sha256(repr(traj.states).encode()).hexdigest() == \
+        want["simulate_sha256"]
+    ips = ips_persistence(G300, params, z0, 6, 50, seed=3, n_batches=4)
+    assert (ips.value, ips.se) == want["ips"]
+    is_ = is_extinction(G300, rare_params, z0, 6, default_twist_schedule(0.45, 6),
+                        BLOCK_REPS + 100, seed=4)
+    assert (is_.value, is_.se) == want["is"]
+    sp = split_extinction(G300, rare_params, z0, 6, SplittingConfig((6, 2), 10),
+                          seed=5, n_replications=3)
+    assert (sp.value, sp.se) == want["split"]
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +350,8 @@ def _hub_graph() -> Graph:
 
 @pytest.mark.parametrize("graph", [_hub_graph(), Graph(300, ()), G300],
                          ids=["hub", "no-edges", "G300"])
-@pytest.mark.parametrize("source", ["post-extinction", "pre-extinction"])
-def test_csr_and_dense_counts_step_alike(graph, source):
-    sparse = Kernel.prepare(graph, Params(0.05, 0.002, source))
+def test_csr_and_dense_counts_step_alike(graph):
+    sparse = Kernel.prepare(graph, Params(0.05, 0.002))
     assert not isinstance(sparse.adjacency, np.ndarray)
     dense = dataclasses.replace(sparse, adjacency=graph.adjacency_matrix)
     occ = np.random.default_rng(1).random((BLOCK_REPS, graph.n)) < 0.97

@@ -102,11 +102,6 @@ def test_colonisation_sweep_matches_dense_oracles(e, c):
         assert np.allclose(tm.apply(v), v @ tm.M, rtol=0.0, atol=1e-15)
 
 
-def test_pre_extinction_source_is_rejected():
-    with pytest.raises(ValueError):
-        build_transition(P2, Params(0.5, 0.5, colonisation_source="pre-extinction"))
-
-
 def test_dense_caps():
     g13 = gen_erdos_renyi(13, 14, np.random.default_rng(22))
     with pytest.raises(ValueError):

@@ -370,10 +370,22 @@ def test_anova_flags_constant_response_as_degenerate():
     assert vt.ss_total == 0.0
 
 
-def test_anova_max_order_limits_terms():
-    rows = grid_rows(lambda e, m, t, r: 0.9 if e == 0.2 else 0.5)
-    vt = variance_decomposition(rows, response="persistence", max_order=1)
-    assert [name for name, _, _ in vt.terms] == ["e", "edges", "topology"]
+def test_anova_interaction_is_cell_means_less_main_effects():
+    # Random 2 x 3 design (e x topology) with 2 replicates, rows shuffled:
+    # SS[e:topology] = r * sum over cells of (cell mean - grand)^2 - SS[e] - SS[topology].
+    rng = np.random.default_rng(15)
+    y = rng.random((2, 3, 2))
+    rows = [synth_row(3 * i + j, k, e, 0.3, 5, topo, pers=float(y[i, j, k]))
+            for i, e in enumerate((0.2, 0.4)) for j, topo in enumerate(("COM", "ER", "LAT"))
+            for k in range(2)]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    vt = variance_decomposition(rows, response="persistence")
+    ss = {name: s for name, s, _ in vt.terms}
+    assert list(ss) == ["e", "topology", "e:topology"]
+    cells = 2 * ((y.mean(axis=2) - y.mean()) ** 2).sum()
+    assert ss["e:topology"] == pytest.approx(cells - ss["e"] - ss["topology"], rel=1e-12)
+    assert ss["e"] == pytest.approx(6 * ((y.mean(axis=(1, 2)) - y.mean()) ** 2).sum(),
+                                    rel=1e-12)
 
 
 def test_anova_logit_response_clamps_boundary_values():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from secnet.dynamics import Params
+from secnet.dynamics import Params, state_to_array
+from secnet.exact import build_transition
 from secnet.meanfield import mf_iterate, mf_threshold
 from secnet.netgen import Graph, TopologySpec, gen_erdos_renyi
 
@@ -49,20 +50,18 @@ def test_certain_colonisation_stays_exact_across_non_edges():
     assert np.array_equal(traj, reached.astype(float))
 
 
-@pytest.mark.parametrize("source", ["post-extinction", "pre-extinction"])
-def test_sparse_escape_sum_matches_the_dense_formula(source):
+def test_sparse_escape_sum_matches_the_dense_formula():
     # The dense n x n form of the map, as it ran before the escape sum moved
     # onto the edges; only the order of the sums differs.
     graph = TopologySpec(kind="PA", n=500, n_edges=2682, power=3.0).generate(
         np.random.default_rng(7))
-    params = Params(0.1, 0.02, source)
+    params = Params(0.1, 0.02)
     p0 = np.random.default_rng(8).random(500)
     traj = mf_iterate(graph, params, p0, 40)
     a, p = graph.adjacency_matrix, p0
     for t in range(1, 41):
-        s = (1.0 - params.e) * p if params.post_source else p
-        log_zeta = np.sum(np.log1p(-a * (params.c * s)[None, :]), axis=1)
         survive = (1.0 - params.e) * p
+        log_zeta = np.sum(np.log1p(-a * (params.c * survive)[None, :]), axis=1)
         p = survive - np.expm1(log_zeta) * (1.0 - survive)
         assert np.max(np.abs(traj[t] - p)) <= 1e-12
 
@@ -81,20 +80,28 @@ def test_iterates_stay_in_unit_interval_and_map_is_monotone():
         assert np.all(lo <= hi + 1e-12)  # componentwise monotone map
 
 
+def test_one_generation_from_a_known_state_matches_the_exact_marginals():
+    # From a deterministic state the patches' survivals are independent, so
+    # one mean-field generation is exact: it must equal the per-patch
+    # marginals of one step of the exact chain under the same convention.
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        g = gen_erdos_renyi(n, int(rng.integers(n - 1, n * (n - 1) // 2 + 1)), rng)
+        params = Params(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+        z = int(rng.integers(0, 1 << n))
+        tm = build_transition(g, params)
+        dist = tm.apply(np.eye(tm.n_states)[z])
+        bits = (np.arange(tm.n_states)[:, None] >> np.arange(n)) & 1
+        mf = mf_iterate(g, params, state_to_array(z, n).astype(float), 1)[1]
+        assert np.max(np.abs(mf - dist @ bits)) <= 1e-12
+
+
 def test_validation():
     with pytest.raises(ValueError):
         mf_iterate(P2, Params(0.5, 0.5), 1.5, 3)
     with pytest.raises(ValueError):
         mf_iterate(P2, Params(0.5, 0.5), 0.5, -1)
-
-
-def test_pre_extinction_source_can_rescue_certain_extinction():
-    # e=1 kills both patches, but pre-extinction sources still colonise
-    params = Params(1.0, 1.0, colonisation_source="pre-extinction")
-    traj = mf_iterate(P2, params, np.array([1.0, 0.0]), 1)
-    assert np.allclose(traj[1], [0.0, 1.0], atol=1e-14)
-    post = mf_iterate(P2, Params(1.0, 1.0), np.array([1.0, 0.0]), 1)
-    assert np.all(post[1] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +150,9 @@ def test_certain_extinction_is_always_subcritical():
     assert rep.regime == "subcritical"
 
 
-def test_post_source_critical_manifold_raises_convergence_error():
+def test_critical_manifold_raises_convergence_error():
     # e = c(1-e)*lambda1 exactly: the fixed-point iteration is sub-geometric
     from secnet.netgen import ConvergenceError
     with pytest.raises(ConvergenceError):
         mf_threshold(C10, Params(0.5, 0.5), max_iter=5000)
 
-
-def test_pre_source_persists_where_post_source_dies():
-    # between the two spectral conditions: e/c < lambda1 < e/(c(1-e))
-    e, c = 0.35, 0.2  # cycle: 1.75 < 2 < 2.692
-    post = mf_iterate(C10, Params(e, c), 1.0, 400)
-    pre = mf_iterate(C10, Params(e, c, colonisation_source="pre-extinction"), 1.0, 400)
-    assert post[-1].max() < 1e-6
-    assert pre[-1].min() > 0.05
