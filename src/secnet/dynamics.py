@@ -61,12 +61,12 @@ __all__ = [
 BLOCK_REPS = 1024
 
 # ``Kernel`` counts neighbours by CSR from SPARSE_MIN_N patches up to this density.
-# With integer CSR counts in C order, steps of 1024 replicates ran 1.4-2.5x faster
-# than dense inside the bounds, 1.0-1.3x at n = 200 or density 0.05-0.3, and
-# 0.97-1.05x at n = 100, density 0.1-0.3 (one BLAS thread).  Equal counts: a speed
+# Against float32 dense counts, steps of 1024 replicates ran 1.4-2.3x faster by CSR
+# inside the bounds (n = 300-2000), 0.87-1.17x at n = 200, density 0.05-0.3, and
+# 0.86-0.97x at n = 100, density 0.1-0.3 (one BLAS thread).  Equal counts: a speed
 # cut-off only.  The dense path stays for small graphs: a step at n = 10, density
-# 0.7, took 8 / 33 / 104 us dense against 33 / 73 / 143 us by CSR for 1 / 256 /
-# 1024 replicates, and 92 against 123 us at n = 100, density 0.3, for IPS's 64
+# 0.7, took 8 / 27 / 85 us dense against 28 / 50 / 119 us by CSR for 1 / 256 /
+# 1024 replicates, and 75 against 97 us at n = 100, density 0.3, for IPS's 64
 # (best of 5 x 200 steps, one BLAS thread); the CSR also imports scipy.
 SPARSE_MIN_N = 300
 SPARSE_MAX_DENSITY = 0.025
@@ -140,22 +140,30 @@ class Kernel:
     """The generation map of one ``(graph, params)`` pair, prepared once.
 
     ``pcol[o]`` is the probability that an empty patch with ``o`` surviving
-    neighbours is colonised.  ``adjacency`` is the graph's dense float64
-    matrix, or on sparse graphs its integer CSR ``Graph.sparse_adjacency``;
-    ``survivors @ adjacency`` counts exactly in both, so draws match.
+    neighbours is colonised.  ``adjacency`` is the graph's dense 0/1 matrix
+    as float32, or on sparse graphs its integer CSR ``Graph.sparse_adjacency``;
+    ``survivors @ adjacency`` counts exactly in both (float32 sums 0/1
+    products exactly below 2**24), so draws match.
+
+    ``step`` reuses one set of work buffers, sized for the largest block
+    stepped so far and sliced ``[:k]`` for smaller ones: the uniforms, the
+    ``pcol`` lookup, the integer counts and, on the dense path, the float
+    counts.  ``dataclasses.replace`` gives the copy an empty set.
     """
 
     n: int
     adjacency: np.ndarray  # or a scipy.sparse.csr_array
     e: float
     pcol: np.ndarray
+    _work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def prepare(cls, graph: Graph, params: Params) -> Kernel:
         max_degree = int(graph.degrees.max()) if graph.n_edges else 0
         pcol = 1.0 - (1.0 - params.c) ** np.arange(max_degree + 1)
         sparse = graph.n >= SPARSE_MIN_N and graph.density <= SPARSE_MAX_DENSITY
-        adjacency = graph.sparse_adjacency if sparse else graph.adjacency_matrix
+        adjacency = (graph.sparse_adjacency if sparse
+                     else graph.adjacency_matrix.astype(np.float32))
         return cls(graph.n, adjacency, params.e, pcol)
 
     def start(self, z0: int, reps: int) -> np.ndarray:
@@ -167,17 +175,36 @@ class Kernel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance a (reps, n) block one generation.
 
-        Returns ``(survivors, next_occ)``.  ``e`` replaces the extinction
+        Returns ``(survivors, next_occ)``, both freshly allocated, so a
+        caller may keep or write into them.  ``e`` replaces the extinction
         rate for this generation (importance sampling twists it).  Uniforms
         are drawn for every patch regardless of occupancy so the stream
         consumption per generation is fixed.
         """
-        survivors = occ & (rng.random(occ.shape) >= (self.e if e is None else e))
-        # A block times a CSR comes back transposed (F-ordered): put the counts
-        # in the block's C order before they meet the uniforms.
-        o = (survivors @ self.adjacency).astype(np.intp, order="C")
-        colonised = ~survivors & (rng.random(occ.shape) < self.pcol[o])
-        return survivors, survivors | colonised
+        k = occ.shape[0]
+        work = self._work
+        if work.get("rows", -1) < k:
+            shape = (k, self.n)
+            dense = isinstance(self.adjacency, np.ndarray)
+            work.update(rows=k, u=np.empty(shape), p=np.empty(shape),
+                        o=np.empty(shape, np.intp),
+                        f=np.empty(shape, self.adjacency.dtype) if dense else None)
+        u, p, o = work["u"][:k], work["p"][:k], work["o"][:k]
+        survivors = rng.random(out=u) >= (self.e if e is None else e)
+        survivors &= occ
+        if work["f"] is None:
+            # A block times a CSR comes back F-ordered; the cast puts it in
+            # the block's C order before it meets the uniforms.
+            o[...] = survivors @ self.adjacency
+        else:
+            o[...] = np.matmul(survivors, self.adjacency, out=work["f"][:k])
+        # Counts never exceed the largest degree, so "clip" only skips the
+        # copy of ``out`` that the default "raise" mode makes.
+        np.take(self.pcol, o, out=p, mode="clip")
+        # Colonising a surviving patch changes nothing, so no ~survivors mask.
+        next_occ = rng.random(out=u) < p
+        next_occ |= survivors
+        return survivors, next_occ
 
 
 @dataclass(frozen=True)

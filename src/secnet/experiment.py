@@ -113,8 +113,6 @@ class Design:
         object.__setattr__(self, "topologies", tuple(self.topologies))
         object.__setattr__(self, "e_values", tuple(self.e_values))
         object.__setattr__(self, "c_values", tuple(self.c_values))
-        object.__setattr__(self, "ec_pairs",
-                           tuple((float(e), float(c)) for e, c in self.ec_pairs))
         object.__setattr__(self, "densities", tuple(self.densities))
         object.__setattr__(self, "n_edges_values", tuple(self.n_edges_values))
         counts = {name: getattr(self, name) for name in (
@@ -125,6 +123,16 @@ class Design:
                    if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
         if not_int:
             raise ValueError(f"{', '.join(not_int)} must be integers")
+        # bool is an int to Python, so a JSON true would otherwise run as rate 1.
+        rates = {f"{name}[{i}]": v for name in ("e_values", "c_values", "densities")
+                 for i, v in enumerate(getattr(self, name))}
+        rates.update((f"ec_pairs[{i}]", v) for i, pair in enumerate(self.ec_pairs) for v in pair)
+        not_real = [k for k, v in rates.items() if isinstance(v, bool)
+                    or not isinstance(v, (int, float, np.integer, np.floating))]
+        if not_real:
+            raise ValueError(f"{', '.join(not_real)} must be numbers")
+        object.__setattr__(self, "ec_pairs",
+                           tuple((float(e), float(c)) for e, c in self.ec_pairs))
         if bool(self.ec_pairs) == bool(self.e_values):
             raise ValueError("give either e_values x c_values or ec_pairs")
         if self.e_values and not self.c_values:

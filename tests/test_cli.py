@@ -509,9 +509,13 @@ def test_experiment_one_patch_design_exits_3(tmp_path, capsys):
     {"n_sim_reps": 100.5, "estimator": "crude"},
     {"n_gen": True},
     {"n_edges_values": [8.0]},
+    {"e_values": [True, 0.2]},
+    {"c_values": [False]},
+    {"ec_pairs": [[0.2, True]], "e_values": [], "c_values": []},
+    {"n_edges_values": [], "densities": [True]},
 ], ids=["rate", "pa-power", "kind", "few-edges", "low-density", "many-edges",
         "float-replicates", "float-n", "float-seed", "float-sim-reps", "bool-n-gen",
-        "float-edges"])
+        "float-edges", "bool-e", "bool-c", "bool-pair", "bool-density"])
 def test_experiment_design_every_row_would_reject_exits_3(tmp_path, capsys, change):
     d = small_design_dict()
     d.update(change)

@@ -401,6 +401,55 @@ def test_hub_counts_past_the_int16_range():
     assert nxt.all()
 
 
+def test_float32_dense_counts_are_exact():
+    # 299 patches keep the dense path; the hub's 298 neighbours put its
+    # count past 256.
+    extra = _random_graph(299, 3000, seed=13).edges
+    graph = Graph(299, {(0, v) for v in range(1, 299)} | set(extra))
+    kernel = Kernel.prepare(graph, Params(0.1, 0.01))
+    assert isinstance(kernel.adjacency, np.ndarray)
+    assert kernel.adjacency.dtype == np.float32
+    occ = np.random.default_rng(3).random((BLOCK_REPS, graph.n)) < 0.98
+    survivors, _ = kernel.step(occ, np.random.default_rng(4))
+    counts = survivors @ kernel.adjacency
+    assert counts[:, 0].max() > 256
+    u, v = graph.edge_array.T
+    for row, row_counts in zip(survivors, counts):
+        by_edge = (np.bincount(u, weights=row[v], minlength=graph.n)
+                   + np.bincount(v, weights=row[u], minlength=graph.n))
+        assert np.array_equal(row_counts, by_edge)
+    copy = dataclasses.replace(kernel, adjacency=graph.adjacency_matrix)
+    assert kernel._work and copy._work == {} and copy._work is not kernel._work
+
+
+@pytest.mark.parametrize("graph", [_random_graph(100, 1500, seed=7), G300],
+                         ids=["dense", "G300"])
+def test_reused_buffers_draw_what_a_fresh_kernel_draws(graph):
+    params = Params(0.3, 0.05)
+    kernel = Kernel.prepare(graph, params)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    start = np.random.default_rng(6).random((BLOCK_REPS, graph.n)) < 0.6
+    previous = ()
+    for e in (None, 0.45):  # 0.45: the twisted rate importance sampling passes
+        occ, ref_occ = start, start.copy()
+        for reps in (0, BLOCK_REPS, 100, BLOCK_REPS):  # 0: the buffers then grow
+            if reps < len(occ):  # keep the first rows, overwritten in place as IPS does
+                occ, ref_occ = occ[:reps], ref_occ[:reps]
+                occ[:reps // 2], ref_occ[:reps // 2] = occ[reps // 2:], ref_occ[reps // 2:]
+            elif reps > len(occ):
+                occ, ref_occ = start, start.copy()
+            survivors, nxt = kernel.step(occ, rng, e)
+            ref_survivors, ref_nxt = Kernel.prepare(graph, params).step(ref_occ, ref_rng, e)
+            assert np.array_equal(survivors, ref_survivors)
+            assert np.array_equal(nxt, ref_nxt)
+            buffers = [b for b in kernel._work.values() if isinstance(b, np.ndarray)]
+            others = [occ, *previous, *buffers]
+            assert not np.shares_memory(survivors, nxt)
+            assert not any(np.shares_memory(a, b) for a in (survivors, nxt) for b in others)
+            previous = (survivors, nxt)
+            occ, ref_occ = nxt, ref_nxt
+
+
 def test_no_module_imports_another_modules_private_names():
     # The kernel is reached through ``Kernel`` and the exact chain's state
     # encoding stays inside ``exact``; a private helper reached from another
