@@ -131,6 +131,9 @@ class Design:
                     or not isinstance(v, (int, float, np.integer, np.floating))]
         if not_real:
             raise ValueError(f"{', '.join(not_real)} must be numbers")
+        # Floats throughout, so an integer rate writes the same CSV bytes in either form.
+        for name in ("e_values", "c_values", "densities"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         object.__setattr__(self, "ec_pairs",
                            tuple((float(e), float(c)) for e, c in self.ec_pairs))
         if bool(self.ec_pairs) == bool(self.e_values):

@@ -528,6 +528,22 @@ def test_experiment_design_every_row_would_reject_exits_3(tmp_path, capsys, chan
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid,pairs", [
+    ({"e_values": [1], "c_values": [0.3]}, {"ec_pairs": [[1, 0.3]]}),
+    ({"e_values": [0.2], "c_values": [1]}, {"ec_pairs": [[0.2, 1.0]]}),
+], ids=["int-e", "int-c"])
+def test_integer_rates_write_the_same_bytes_in_either_design_form(tmp_path, grid, pairs):
+    outs = []
+    for i, change in enumerate((grid, dict(pairs, e_values=[], c_values=[]))):
+        d = small_design_dict()
+        d.update(change)
+        design_path = tmp_path / f"design{i}.json"
+        design_path.write_text(json.dumps(d))
+        outs.append(tmp_path / f"rows{i}.csv")
+        assert main(["experiment", "--design", str(design_path), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_experiment_with_failures_exits_4(tmp_path, capsys):
     d = small_design_dict()
     d.update(n=16, n_edges_values=[30], e_values=[0.2], c_values=[0.3],

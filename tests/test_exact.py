@@ -102,6 +102,56 @@ def test_colonisation_sweep_matches_dense_oracles(e, c):
         assert np.allclose(tm.apply(v), v @ tm.M, rtol=0.0, atol=1e-15)
 
 
+# Graphs whose split order matters: patches that collapse as soon as they
+# split (P1, no edges), a hub, a long chain, nothing collapsing before the
+# end (K6), and two components.
+ORDER_GRAPHS = {
+    "P1": P1,
+    "edgeless-5": Graph(5, ()),
+    "star-7": Graph(8, tuple((0, i) for i in range(1, 8))),
+    "path-8": Graph(8, tuple((i, i + 1) for i in range(7))),
+    "K6": Graph(6, tuple((i, j) for i in range(6) for j in range(i + 1, 6))),
+    "two-triangles": Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))),
+}
+
+
+@pytest.mark.parametrize("name", list(ORDER_GRAPHS))
+def test_frontier_sweep_matches_oracles_on_every_order_shape(name):
+    graph, c = ORDER_GRAPHS[name], 0.35
+    tm = build_transition(graph, Params(0.2, c))
+    rows = np.array([tm.colonise(x) for x in np.eye(tm.n_states)])
+    assert np.allclose(rows, tm.C, rtol=0.0, atol=1e-15)
+    assert np.allclose(rows, oracle_transition_matrix(graph, 0.0, c), rtol=0.0, atol=1e-15)
+    v = np.random.default_rng(41).random(tm.n_states)
+    first = tm.apply(v)
+    second = tm.apply(v)
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+    for out in (first, second):
+        assert not any(np.shares_memory(out, buf) for buf in tm._sweep_buffers)
+
+
+def test_relabelled_graph_gives_the_same_horizon():
+    g = gen_erdos_renyi(9, 14, np.random.default_rng(42))
+    perm = np.random.default_rng(43).permutation(9)
+    h = Graph(9, [(perm[u], perm[v]) for u, v in g.edges])
+    z0 = 0b101100101
+    z0_h = sum(1 << int(perm[i]) for i in range(9) if z0 >> i & 1)
+    params = Params(0.3, 0.2)
+    a = finite_horizon(build_transition(g, params), z0, 40)
+    b = finite_horizon(build_transition(h, params), z0_h, 40)
+    assert np.allclose(a.p_extinct, b.p_extinct, rtol=0.0, atol=1e-15)
+    assert np.allclose(a.mean_occ, b.mean_occ, rtol=0.0, atol=1e-15)
+
+
+def test_sweep_tables_stay_small_on_a_path():
+    # The split-everything sweep held 3**16 - 2**16 (about 43 M) floats here.
+    n = 16
+    path = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    tm = build_transition(path, Params(0.2, 0.3), cap=exact.MAX_N)
+    assert sum(p.size for p in tm.tables) <= n * 2 ** n
+
+
 def test_dense_caps():
     g13 = gen_erdos_renyi(13, 14, np.random.default_rng(22))
     with pytest.raises(ValueError):
