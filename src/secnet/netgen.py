@@ -300,43 +300,119 @@ def gen_lattice(n: int, n_edges: int, rng: np.random.Generator) -> Graph:
 
 
 def _fill_to_targets(n, base, remaining, targets, rng):
-    """One fill attempt; returns the extra edges or None on a dead end."""
-    deg = np.zeros(n, dtype=np.intp)
+    """One fill attempt; returns the extra edges or None on a dead end.
+
+    Each pick is the pair ``rng.choice(len(eligible), size=2,
+    replace=False)`` would return, computed by ``_Words.pair`` from 32-bit
+    words drawn in bulk, and ``rng`` is left exactly where those calls would
+    have left it.  numpy does not promise that ``Generator.choice`` keeps its
+    algorithm across versions (NEP 19); fixing the words each pick reads
+    fixes the graphs.
+    """
+    deg = [0] * n
+    targets = targets.tolist()
     present = set(base)
     for u, v in base:
         deg[u] += 1
         deg[v] += 1
-    if np.any(deg > targets):
+    if any(d > t for d, t in zip(deg, targets)):
         return None
     eligible = [i for i in range(n) if deg[i] < targets[i]]
     extra: list[tuple[int, int]] = []
-    for _ in range(remaining):
-        placed = False
-        # Rejection sampling is uniform over admissible pairs; scan for a
-        # dead end only after a long miss streak.
-        misses, miss_cap = 0, 50 + 8 * len(eligible)
-        while not placed:
-            if len(eligible) < 2:
-                return None
-            if misses > miss_cap:
-                if not _any_admissible(eligible, present):
+    with _Words(rng, 4 * remaining) as words:
+        for _ in range(remaining):
+            placed = False
+            # Rejection sampling is uniform over admissible pairs; scan for a
+            # dead end only after a long miss streak.
+            misses, miss_cap = 0, 50 + 8 * len(eligible)
+            while not placed:
+                if len(eligible) < 2:
                     return None
-                misses = 0
-            i, j = rng.choice(len(eligible), size=2, replace=False)
-            u, v = eligible[i], eligible[j]
-            if u > v:
-                u, v = v, u
-            if (u, v) in present:
-                misses += 1
-                continue
-            present.add((u, v))
-            extra.append((u, v))
-            for x in (u, v):
-                deg[x] += 1
-                if deg[x] >= targets[x]:
-                    eligible.remove(x)
-            placed = True
+                if misses > miss_cap:
+                    if not _any_admissible(eligible, present):
+                        return None
+                    misses = 0
+                i, j = words.pair(len(eligible))
+                u, v = eligible[i], eligible[j]
+                if u > v:
+                    u, v = v, u
+                if (u, v) in present:
+                    misses += 1
+                    continue
+                present.add((u, v))
+                extra.append((u, v))
+                for x in (u, v):
+                    deg[x] += 1
+                    if deg[x] >= targets[x]:
+                        eligible.remove(x)
+                placed = True
     return extra
+
+
+_WORD_MASK = 0xFFFFFFFF
+
+
+class _Words:
+    """numpy's bounded-integer draws, computed from 32-bit words drawn in bulk.
+
+    Inside ``Generator.integers`` and ``Generator.choice``, numpy bounds a
+    range that fits in 32 bits with Lemire's method (Lemire 2019, ACM TOMACS
+    29:3) on one 32-bit word per try.  ``bounded`` repeats that arithmetic on
+    words taken from ``rng.integers(0, 2**32, size=k, dtype=np.uint32)``,
+    which reads the same stream, so one bulk draw replaces many calls.
+    Leaving the ``with`` block rewinds ``rng`` and redraws only the words
+    used, so it sits where the one-at-a-time calls would have left it.
+    """
+
+    def __init__(self, rng: np.random.Generator, chunk: int) -> None:
+        self.rng = rng
+        self.start = rng.bit_generator.state
+        self.size = max(chunk, 64)
+        self.chunks: list = []
+        # The word stream must not hold self: a cycle would keep every
+        # fill's words alive until the garbage collector runs.
+        self.next_word = _word_stream(rng, self.size, self.chunks).__next__
+
+    def bounded(self, r: int) -> int:
+        """What ``rng.integers(r + 1)`` returns, for ``0 <= r < 2**32 - 1``;
+        ``r == 0`` reads no word."""
+        if r == 0:
+            return 0
+        span = r + 1
+        prod = self.next_word() * span
+        if prod & _WORD_MASK < span:
+            threshold = (_WORD_MASK - r) % span
+            while prod & _WORD_MASK < threshold:
+                prod = self.next_word() * span
+        return prod >> 32
+
+    def pair(self, m: int) -> tuple[int, int]:
+        """What ``rng.choice(m, size=2, replace=False)`` returns: numpy takes
+        a 2-subset by Floyd's algorithm (Bentley & Floyd 1987, CACM 30:754)
+        at every ``m`` and then shuffles it with one bounded draw."""
+        a = self.bounded(m - 2)
+        b = self.bounded(m - 1)
+        if b == a:
+            b = m - 1
+        return (b, a) if self.bounded(1) == 0 else (a, b)
+
+    def __enter__(self) -> "_Words":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        used = self.size * len(self.chunks) - (
+            self.chunks[-1].__length_hint__() if self.chunks else 0)
+        self.rng.bit_generator.state = self.start
+        self.rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
+
+
+def _word_stream(rng, size, chunks):
+    """``rng``'s 32-bit words, drawn ``size`` at a time; each chunk's
+    iterator is also appended to ``chunks`` so the words used can be
+    counted."""
+    while True:
+        chunks.append(iter(rng.integers(0, 1 << 32, size=size, dtype=np.uint32).tolist()))
+        yield from chunks[-1]
 
 
 def _ring_distance_graph(n, n_edges, rng):
@@ -392,6 +468,14 @@ def gen_pref_attach(
     of nodes already present), so the per-arrival counts land exactly on
     ``n_edges`` while staying near-constant, as in classic growth models.
     Connected by construction.
+
+    Each arrival draws its ``m_k`` uniforms at once with ``rng.random(m_k)``;
+    these are the doubles that ``m_k`` calls of ``rng.choice(k, p=...)``
+    would read, one per pick, and each pick inverts the cdf exactly as that
+    call does (cumulative sum of the normalised weights, rescaled by its
+    last entry, ``searchsorted`` to the right).  The graphs are therefore
+    the ones per-pick ``choice`` calls give, without depending on numpy
+    keeping ``Generator.choice``'s algorithm across versions (NEP 19).
     """
     _check_counts(n, n_edges)
     if power <= 0:
@@ -399,24 +483,25 @@ def gen_pref_attach(
     if n == 1:
         return Graph(1, ())
     ms = _pa_arrival_counts(n, n_edges, rng)
+    # The first arrival can only join node 0 (numpy's choice from a
+    # one-node pool reads no random word).
+    edges: list[tuple[int, int]] = [(0, 1)]
     deg = np.zeros(n)
-    edges: list[tuple[int, int]] = []
-    for k in range(1, n):
+    deg[:2] = 1
+    for k in range(2, n):
         m = ms[k - 1]
         # Within one arrival only taken nodes gain degree, so weights at
-        # arrival time and "current" weights agree for the untaken.
+        # arrival time and "current" weights agree for the untaken; a taken
+        # node's weight drops to zero.
         w = deg[:k] ** power
-        taken = np.zeros(k, dtype=bool)
-        for _ in range(m):
-            w_eff = np.where(taken, 0.0, w)
-            total = w_eff.sum()
-            if total <= 0.0:
-                # Only the very first attachment sees an all-zero degree pool.
-                t = int(rng.choice(np.flatnonzero(~taken)))
-            else:
-                t = int(rng.choice(k, p=w_eff / total))
+        for u in rng.random(m):
+            cdf = np.cumsum(w / w.sum())
+            cdf /= cdf[-1]
+            if math.isnan(cdf[-1]):
+                raise ValueError(f"degree weights overflow float64 at power {power}")
+            t = int(cdf.searchsorted(u, side="right"))
+            w[t] = 0.0
             edges.append((t, k))
-            taken[t] = True
             deg[t] += 1
         deg[k] = m
     return Graph(n, tuple(edges))

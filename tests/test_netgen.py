@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from secnet import netgen
+from secnet import experiment, netgen
 from secnet.netgen import (
     Graph,
     TopologySpec,
@@ -262,6 +262,11 @@ def test_pa_contract_sweep():
             assert g.is_connected()
 
 
+def test_pa_rejects_a_power_whose_weights_overflow():
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflow"):
+        gen_pref_attach(200, 300, 400.0, np.random.default_rng(11))
+
+
 def test_pa_higher_power_concentrates_degree():
     rng = np.random.default_rng(10)
     hub1, hub3 = [], []
@@ -269,6 +274,157 @@ def test_pa_higher_power_concentrates_degree():
         hub1.append(gen_pref_attach(60, 90, 1.0, rng).degrees.max())
         hub3.append(gen_pref_attach(60, 90, 3.0, rng).degrees.max())
     assert np.mean(hub3) > np.mean(hub1)
+
+
+# ---------------------------------------------------------------------------
+# bulk draws: the same graphs and generator state as per-pick numpy calls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("label,fingerprint,next_draw", [
+    ("ER", "fcdfcdda7960", 0.20318367975545848),
+    ("COM", "1319cb3b25bd", 0.2913525497593046),
+    ("LAT", "330ec95bfc4e", 0.014833188074238945),
+    ("PA1", "b192500a629a", 0.7218795534978515),
+    ("PA3", "e44973fb4566", 0.7218795534978515),
+])
+def test_generators_pinned_at_benchmark_size(label, fingerprint, next_draw):
+    # contrast-n100's first network of each topology (n = 100, 1485 edges);
+    # the lattice takes about 40 fills, so dead ends and the admissibility
+    # scan are on this path.
+    design = experiment.preset("contrast-n100", master_seed=300)
+    (n_edges,) = design.edge_budgets
+    topology = next(t for t in design.topologies if t.label == label)
+    rng = np.random.default_rng(experiment._network_seed(design, n_edges, 0))
+    g = topology.spec(design.n, n_edges).generate(rng)
+    assert (n_edges, g.fingerprint()) == (1485, fingerprint)
+    assert rng.random() == next_draw
+
+
+def test_pref_attach_pinned_at_n2000():
+    rng = np.random.default_rng(0)
+    g = gen_pref_attach(2000, 4000, 1.0, rng)
+    assert g.fingerprint() == "263d816fe725"
+    assert rng.random() == 0.9092549074769746
+
+
+def _fill_to_targets_choice(n, base, remaining, targets, rng):
+    """The lattice fill as one ``rng.choice`` call per pick: the oracle."""
+    deg = np.zeros(n, dtype=np.intp)
+    present = set(base)
+    for u, v in base:
+        deg[u] += 1
+        deg[v] += 1
+    if np.any(deg > targets):
+        return None
+    eligible = [i for i in range(n) if deg[i] < targets[i]]
+    extra = []
+    for _ in range(remaining):
+        placed = False
+        misses, miss_cap = 0, 50 + 8 * len(eligible)
+        while not placed:
+            if len(eligible) < 2:
+                return None
+            if misses > miss_cap:
+                if not netgen._any_admissible(eligible, present):
+                    return None
+                misses = 0
+            i, j = rng.choice(len(eligible), size=2, replace=False)
+            u, v = eligible[i], eligible[j]
+            if u > v:
+                u, v = v, u
+            if (u, v) in present:
+                misses += 1
+                continue
+            present.add((u, v))
+            extra.append((u, v))
+            for x in (u, v):
+                deg[x] += 1
+                if deg[x] >= targets[x]:
+                    eligible.remove(x)
+            placed = True
+    return extra
+
+
+def _pref_attach_choice(n, n_edges, power, rng):
+    """Preferential attachment as one ``rng.choice(k, p=...)`` per pick."""
+    ms = netgen._pa_arrival_counts(n, n_edges, rng)
+    deg = np.zeros(n)
+    edges = []
+    for k in range(1, n):
+        m = ms[k - 1]
+        w = deg[:k] ** power
+        taken = np.zeros(k, dtype=bool)
+        for _ in range(m):
+            w_eff = np.where(taken, 0.0, w)
+            total = w_eff.sum()
+            if total <= 0.0:
+                t = int(rng.choice(np.flatnonzero(~taken)))
+            else:
+                t = int(rng.choice(k, p=w_eff / total))
+            edges.append((t, k))
+            taken[t] = True
+            deg[t] += 1
+        deg[k] = m
+    return Graph(n, tuple(edges))
+
+
+def test_lattice_fill_matches_choice_oracle_draw_for_draw():
+    # gen_lattice's fill loop, run side by side with the oracle on twin
+    # generators: every fill, dead end or not, must agree, and so must the
+    # generator state after it.
+    outcomes = {"filled": 0, "dead end": 0}
+    for seed in range(20):
+        for n, density in [(10, 0.5), (12, 0.7), (20, 0.3), (25, 0.5), (40, 0.3), (50, 0.2)]:
+            n_edges = density_to_n_edges(density, n)
+            base = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+            low = 2 * n_edges // n
+            n_high = 2 * n_edges - n * low
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                targets = np.full(n, low, dtype=np.intp)
+                pick = rng.choice(n, size=n_high, replace=False)
+                assert np.array_equal(pick, twin.choice(n, size=n_high, replace=False))
+                targets[pick] += 1
+                got = netgen._fill_to_targets(n, base, n_edges - n, targets, rng)
+                want = _fill_to_targets_choice(n, base, n_edges - n, targets, twin)
+                assert got == want
+                assert rng.bit_generator.state == twin.bit_generator.state
+                outcomes["dead end" if got is None else "filled"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_pref_attach_matches_choice_oracle_draw_for_draw():
+    sizes = np.random.default_rng(22)
+    for seed in range(48):
+        n = int(sizes.integers(2, 70))
+        n_edges = int(sizes.integers(n - 1, n * (n - 1) // 2 + 1))
+        power = (0.5, 1.0, 2.0, 3.0)[seed % 4]
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = gen_pref_attach(n, n_edges, power, rng)
+        assert g == _pref_attach_choice(n, n_edges, power, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 99, 2**31, 3 * 2**30, 2**32 - 2])
+def test_bounded_draw_matches_integers_word_for_word(r):
+    # 3 * 2**30 rejects about a quarter of its words, so the rejection loop runs.
+    rng, twin = np.random.default_rng(r), np.random.default_rng(r)
+    with netgen._Words(rng, 16) as words:
+        got = [words.bounded(r) for _ in range(500)]
+    assert got == [int(twin.integers(r + 1)) for _ in range(500)]
+    assert rng.bit_generator.state == twin.bit_generator.state
+    if r == 0:
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_pair_matches_two_subset_choice():
+    # For size 2 numpy takes Floyd's algorithm at every population size.
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    for m in [*range(2, 201), 10_000]:
+        with netgen._Words(rng, 8) as words:
+            got = [words.pair(m) for _ in range(5)]
+        assert got == [tuple(twin.choice(m, size=2, replace=False)) for _ in range(5)]
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
