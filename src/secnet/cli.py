@@ -92,11 +92,6 @@ def _write_manifest(args, command: str, extra: dict | None = None) -> None:
                        "command": command, "args": stored})
 
 
-def _estimate_payload(est) -> dict:
-    return {"value": est.value, "se": est.se, "method": est.method,
-            "n_work": est.n_work, "diagnostics": est.diagnostics}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -204,9 +199,8 @@ def cmd_rare(args) -> int:
         est = rareevent.split_extinction(
             graph, params, z0, args.gens, config, args.seed,
             n_replications=args.replications)
-    payload = _estimate_payload(est)
     if args.out:
-        _write_json(args.out, payload)
+        _write_json(args.out, dataclasses.asdict(est))
     if args.diagnostics:
         _write_rare_diagnostics(est, args.method, args.diagnostics)
     _write_manifest(args, "rare")

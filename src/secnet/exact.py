@@ -22,8 +22,8 @@ the transient block ``R``) with its spectral diagnostics, and mean
 extinction times, come from Krylov solvers that only call ``apply``:
 implicitly restarted Arnoldi (ARPACK) and GMRES, through
 ``scipy.sparse.linalg``, which is imported only when they run.  No path
-forms a ``2**n x 2**n`` array; the dense ``E``, ``C``, ``M = E @ C`` and
-``R`` are built only on demand, as test oracles.
+forms a ``2**n x 2**n`` array; the dense ``E``, ``C`` and ``M = E @ C``
+are built only on demand, as test oracles (``R`` is ``M[1:, 1:]``).
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ class TransitionMatrices:
     holds ``p_set[z, order[k]]`` by the source bits of the unsplit patches
     (row) and the digits of the split ones (column), and ``retire[k]`` the
     inner block size of each digit that collapses after that split.
-    ``E``, ``C``, ``M = E @ C`` and ``R`` are dense copies built on each
-    access, for tests to check against; no computation here reads them.
+    ``E``, ``C`` and ``M = E @ C`` are dense copies built on each access,
+    for tests to check against; no computation here reads them.
     """
 
     n: int
@@ -204,11 +204,6 @@ class TransitionMatrices:
     @property
     def M(self) -> np.ndarray:
         return _left_extinction_inplace(self.C, self.n, self.e)
-
-    @property
-    def R(self) -> np.ndarray:
-        """Transient block: M restricted to the non-empty states."""
-        return self.M[1:, 1:]
 
 
 def _times_r(tm: TransitionMatrices, x: np.ndarray) -> np.ndarray:

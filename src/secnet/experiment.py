@@ -22,7 +22,6 @@ symbols.
 from __future__ import annotations
 
 import contextlib
-import csv
 import itertools
 import math
 import multiprocessing
@@ -45,7 +44,6 @@ __all__ = [
     "VarianceTable",
     "preset",
     "preset_names",
-    "read_results_csv",
     "run_factorial",
     "scenario_compare",
     "scenario_presets",
@@ -339,7 +337,6 @@ def run_factorial(design: Design, workers: int = 1, progress=None) -> list[Resul
 
 
 RESULT_COLUMNS = [f.name for f in fields(ResultRow) if f.name != "runtime_s"]
-_CELL_PARSERS = {"int": int, "float": float, "str": str, "str | None": lambda s: s or None}
 
 
 def write_results_csv(rows: list[ResultRow], path: str | Path,
@@ -350,14 +347,6 @@ def write_results_csv(rows: list[ResultRow], path: str | Path,
     """
     cols = RESULT_COLUMNS + (["runtime_s"] if include_runtime else [])
     write_csv(path, cols, ([getattr(row, c) for c in cols] for row in rows))
-
-
-def read_results_csv(path: str | Path) -> list[ResultRow]:
-    """Rows of a results file; a field with no column keeps its default."""
-    parsers = {f.name: _CELL_PARSERS[f.type] for f in fields(ResultRow)}
-    with open(path, newline="") as fh:
-        return [ResultRow(**{k: parsers[k](v) for k, v in rec.items()})
-                for rec in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------------------
@@ -559,19 +548,21 @@ def scenario_presets(master_seed: int = 500) -> list[Design]:
     return out
 
 
+_PRESET_BUILDERS = {
+    "grid-n10": preset_grid_n10,
+    "grid-n100": preset_grid_n100,
+    "contrast-n100": preset_contrast_n100,
+}
+
+
 def preset_names() -> list[str]:
-    return ["grid-n10", "grid-n100", "contrast-n100"] + \
-        [d.name for d in scenario_presets()]
+    return [*_PRESET_BUILDERS, *(d.name for d in scenario_presets())]
 
 
 def preset(name: str, master_seed: int | None = None) -> Design:
-    builders = {
-        "grid-n10": preset_grid_n10,
-        "grid-n100": preset_grid_n100,
-        "contrast-n100": preset_contrast_n100,
-    }
-    if name in builders:
-        return builders[name]() if master_seed is None else builders[name](master_seed)
+    if name in _PRESET_BUILDERS:
+        build = _PRESET_BUILDERS[name]
+        return build() if master_seed is None else build(master_seed)
     for d in scenario_presets() if master_seed is None else scenario_presets(master_seed):
         if d.name == name:
             return d
@@ -604,11 +595,9 @@ def _relation(larger: float, smaller: float) -> str:
     return RELATION_WIDE
 
 
-def scenario_compare(
-    rows: list[ResultRow],
-    responses: tuple[str, ...] = ("persistence", "occupancy"),
-) -> list[ComparisonRow]:
-    """Order topologies within each (e, e/c) cell and attach relation symbols.
+def scenario_compare(rows: list[ResultRow]) -> list[ComparisonRow]:
+    """Order topologies within each (e, e/c) cell and attach relation symbols,
+    for persistence and then occupancy.
 
     Relative differences are taken against the larger value: under 2% reads
     as equivalent, then increasing, strong and dominant bins at 10% and
@@ -616,7 +605,7 @@ def scenario_compare(
     """
     out = []
     keys = sorted({(r.e, round(r.e / r.c, 9)) for r in rows if r.c > 0})
-    for response in responses:
+    for response in ("persistence", "occupancy"):
         for e, ratio in keys:
             cell = [r for r in rows if r.e == e and r.c > 0
                     and round(r.e / r.c, 9) == ratio]

@@ -69,7 +69,7 @@ def mf_iterate(graph: Graph, params: Params, p0, n_gen: int) -> np.ndarray:
     if n_gen < 0:
         raise ValueError("n_gen must be >= 0")
     p = np.broadcast_to(np.asarray(p0, dtype=float), (graph.n,)).copy()
-    if p.min() < 0.0 or p.max() > 1.0:
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both comparisons
         raise ValueError("p0 entries must lie in [0, 1]")
     adjacency = graph.sparse_adjacency
     ps = np.empty((n_gen + 1, graph.n))
@@ -118,15 +118,14 @@ def _tail_ratios(graph: Graph, params: Params) -> list[float]:
     return ratios
 
 
-def mf_threshold(graph: Graph, params: Params,
-                 max_iter: int = FIXED_POINT_MAX_ITER) -> ThresholdReport:
+def mf_threshold(graph: Graph, params: Params) -> ThresholdReport:
     """Classify the regime and verify the matching asymptotic behaviour.
 
     Subcritical: iterates the map from all-ones over ``DECAY_HORIZON``
     generations, collects one-step peak ratios from ``TAIL_START`` on, and
     checks that the last ``TAIL_WINDOW`` of them stay within ``1e-9`` of the
     geometric bound.  Supercritical: iterates to a fixed point (tolerance
-    ``FIXED_POINT_TOL``, cap ``max_iter``).
+    ``FIXED_POINT_TOL``, cap ``FIXED_POINT_MAX_ITER``).
     """
     lam1 = leading_adjacency_eigenvalue(graph)
     e, c = params.e, params.c
@@ -160,7 +159,7 @@ def mf_threshold(graph: Graph, params: Params,
     elif regime == "supercritical":
         p = np.ones(graph.n)
         adjacency = graph.sparse_adjacency
-        for it in range(1, max_iter + 1):
+        for it in range(1, FIXED_POINT_MAX_ITER + 1):
             p_next = _mf_step(p, adjacency, params)
             delta = float(np.max(np.abs(p_next - p)))
             p = p_next
@@ -169,9 +168,9 @@ def mf_threshold(graph: Graph, params: Params,
                 break
         else:
             raise ConvergenceError(
-                f"fixed-point iteration did not reach tol={FIXED_POINT_TOL} in {max_iter} "
-                "steps; parameters near e = c(1-e)*lambda1 converge "
-                "sub-geometrically"
+                f"fixed-point iteration did not reach tol={FIXED_POINT_TOL} in "
+                f"{FIXED_POINT_MAX_ITER} steps; parameters near e = c(1-e)*lambda1 "
+                "converge sub-geometrically"
             )
         if p.max() < 1e-9:
             degenerate = True

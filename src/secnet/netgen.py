@@ -128,11 +128,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.intp)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
     def is_connected(self) -> bool:
         return _edges_connect(self.n, self.edge_array)
@@ -245,7 +241,7 @@ def gen_community(
     _check_counts(n, n_edges)
     if not 1 <= n_communities <= n:
         raise ValueError("n_communities must lie in [1, n]")
-    if intra_inter_ratio < 1.0:
+    if not intra_inter_ratio >= 1.0:  # written so that NaN fails
         raise ValueError("intra_inter_ratio must be >= 1")
     labels = _community_labels(n, n_communities)
     uu, vv = np.triu_indices(n, k=1)
@@ -478,7 +474,7 @@ def gen_pref_attach(
     keeping ``Generator.choice``'s algorithm across versions (NEP 19).
     """
     _check_counts(n, n_edges)
-    if power <= 0:
+    if not power > 0:  # written so that NaN fails
         raise ValueError("power must be positive")
     if n == 1:
         return Graph(1, ())
@@ -580,12 +576,12 @@ class TopologySpec:
         if self.kind not in TOPOLOGY_KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {TOPOLOGY_KINDS}")
         _check_counts(self.n, self.n_edges)
-        if self.kind == "PA" and (self.power is None or self.power <= 0):
+        if self.kind == "PA" and (self.power is None or not self.power > 0):
             raise ValueError("PA needs a positive power")
         if self.kind == "COM":
             if not self.n_communities or not 1 <= self.n_communities <= self.n:
                 raise ValueError("COM needs n_communities in [1, n]")
-            if self.intra_inter_ratio is None or self.intra_inter_ratio < 1:
+            if self.intra_inter_ratio is None or not self.intra_inter_ratio >= 1:
                 raise ValueError("COM needs intra_inter_ratio >= 1")
         if self.label is None:
             object.__setattr__(self, "label", self._default_label())

@@ -28,6 +28,7 @@ prepared:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ from .netgen import Graph
 
 __all__ = [
     "SplittingConfig",
-    "TwistSchedule",
     "WorkCapExceeded",
     "default_twist_schedule",
     "geometric_thresholds",
@@ -119,29 +119,15 @@ def ips_persistence(
 # importance sampling on the extinction phase
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwistSchedule:
-    """Per-generation extinction rates used by the sampling measure."""
-
-    rates: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(not 0.0 < r < 1.0 for r in self.rates):
-            raise ValueError("twisted rates must lie strictly inside (0, 1)")
-
-    def __len__(self) -> int:
-        return len(self.rates)
-
-
-def default_twist_schedule(e: float, n_gen: int, peak: float | None = None) -> TwistSchedule:
+def default_twist_schedule(e: float, n_gen: int, peak: float | None = None) -> tuple[float, ...]:
     """Linear ramp from the nominal rate to ``peak`` (default ``min(3e, 0.9)``)."""
     if peak is None:
         peak = min(3.0 * e, 0.9)
     if not 0.0 < e < 1.0 or not 0.0 < peak < 1.0:
         raise ValueError("rates must lie strictly inside (0, 1)")
     if n_gen == 1:
-        return TwistSchedule((peak,))
-    return TwistSchedule(tuple(e + (peak - e) * t / (n_gen - 1) for t in range(n_gen)))
+        return (peak,)
+    return tuple(e + (peak - e) * t / (n_gen - 1) for t in range(n_gen))
 
 
 def is_extinction(
@@ -149,30 +135,33 @@ def is_extinction(
     params: Params,
     z0: int,
     n_gen: int,
-    schedule: TwistSchedule,
+    schedule: Sequence[float],
     n_sims: int,
     seed,
 ) -> Estimate:
     """Extinction probability by importance sampling.
 
-    Needs ``0 < e < 1``.  The reported standard error is the sample standard
-    deviation of the per-trajectory weighted indicators over
+    ``schedule`` is a sequence of ``n_gen`` extinction rates, one per
+    generation, each strictly inside (0, 1); ``default_twist_schedule``
+    builds a ramp.  Needs ``0 < e < 1``.  The reported standard error is the
+    sample standard deviation of the per-trajectory weighted indicators over
     ``sqrt(n_sims)``.  With ``schedule`` identically equal to ``e`` every
     weight is exactly one and the estimator reduces to the crude frequency.
     """
     if not 0.0 < params.e < 1.0:
         raise ValueError("importance sampling needs 0 < e < 1")
-    if not isinstance(schedule, TwistSchedule):
-        schedule = TwistSchedule(tuple(float(r) for r in schedule))
-    if len(schedule) != n_gen:
-        raise ValueError(f"schedule has {len(schedule)} rates for {n_gen} generations")
+    rates = tuple(float(r) for r in schedule)
+    if any(not 0.0 < r < 1.0 for r in rates):
+        raise ValueError("twisted rates must lie strictly inside (0, 1)")
+    if len(rates) != n_gen:
+        raise ValueError(f"schedule has {len(rates)} rates for {n_gen} generations")
     if n_sims < 2:
         raise ValueError("n_sims must be >= 2")
     kernel = Kernel.prepare(graph, params)
     e = params.e
     log_ratios = [
         (math.log(e) - math.log(et), math.log1p(-e) - math.log1p(-et))
-        for et in schedule.rates
+        for et in rates
     ]
     n_blocks = -(-n_sims // BLOCK_REPS)
     streams = seed_sequence(seed).spawn(n_blocks)
@@ -191,7 +180,7 @@ def is_extinction(
             k = occ.sum(axis=1)  # occupied before the extinction phase
             if not k.any():
                 break  # all absorbed; every remaining ratio is one
-            survivors, occ = kernel.step(occ, rng, schedule.rates[t])
+            survivors, occ = kernel.step(occ, rng, rates[t])
             s = survivors.sum(axis=1)
             d = k - s
             ld, ls = log_ratios[t]
@@ -256,6 +245,7 @@ def geometric_thresholds(n: int, n_levels: int) -> tuple[int, ...]:
 
 
 _ATTEMPT_BATCH = 256
+MAX_ATTEMPTS_PER_LEVEL = 1_000_000
 
 
 def _batch_crossings(
@@ -298,7 +288,6 @@ def split_extinction(
     config: SplittingConfig,
     seed,
     n_replications: int = 20,
-    max_attempts_per_level: int = 1_000_000,
 ) -> Estimate:
     """Extinction probability by fixed-success multilevel splitting.
 
@@ -313,7 +302,7 @@ def split_extinction(
     Raises
     ------
     WorkCapExceeded
-        If a level needs more than ``max_attempts_per_level`` attempts.
+        If a level needs more than ``MAX_ATTEMPTS_PER_LEVEL`` attempts.
     """
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
@@ -345,12 +334,12 @@ def split_extinction(
             found = 0
             k = 0
             while found < ns:
-                if k >= max_attempts_per_level:
+                if k >= MAX_ATTEMPTS_PER_LEVEL:
                     raise WorkCapExceeded(
                         f"level {m + 1} (occupancy <= {threshold}) did not reach "
-                        f"{ns} successes in {max_attempts_per_level} attempts"
+                        f"{ns} successes in {MAX_ATTEMPTS_PER_LEVEL} attempts"
                     )
-                batch = min(_ATTEMPT_BATCH, max_attempts_per_level - k)
+                batch = min(_ATTEMPT_BATCH, MAX_ATTEMPTS_PER_LEVEL - k)
                 picks = rng.integers(0, ns, size=batch)
                 crossed, ct, cz = _batch_crossings(
                     pool_t[picks], pool_z[picks], threshold, n_gen, kernel, rng)

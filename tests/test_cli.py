@@ -6,6 +6,7 @@ files can be asserted directly.
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 
 from secnet import netgen
 from secnet.cli import EXIT_COMPUTE, EXIT_INPUT, build_parser, main
-from secnet.experiment import Design, TopologyFactor, read_results_csv
+from secnet.experiment import Design, TopologyFactor
 
 
 @pytest.fixture()
@@ -369,6 +370,15 @@ def test_meanfield_prints_report_and_writes_trajectory(tmp_path, graph_file, cap
     assert manifest["args"]["report"]["fixed_point"] is None
 
 
+def test_meanfield_nan_initial_occupancy_exits_4(tmp_path, graph_file, capsys):
+    out = tmp_path / "mf.csv"
+    rc = main(["meanfield", "--graph", str(graph_file), "--e", "0.1", "--c", "0.2",
+               "--gens", "2", "--p0", "nan", "--out", str(out)])
+    assert rc == EXIT_COMPUTE
+    assert "p0 entries must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_meanfield_fixed_point_is_a_json_list(tmp_path, graph_file, capsys):
     out = tmp_path / "mf.csv"
     rc = main(["meanfield", "--graph", str(graph_file), "--e", "0.2",
@@ -456,8 +466,7 @@ def test_experiment_runs_design_file(tmp_path, capsys):
     assert "rows = 8" in printed
     assert "failed = 0" in printed
     assert "share[e] = " in printed
-    rows = read_results_csv(out)
-    assert len(rows) == 8
+    assert len(out.read_text().splitlines()) == 1 + 8  # header and rows
     assert anova.read_text().startswith("term,sum_sq,share")
     manifest = read_manifest(out)
     assert manifest["command"] == "experiment"
@@ -513,9 +522,13 @@ def test_experiment_one_patch_design_exits_3(tmp_path, capsys):
     {"c_values": [False]},
     {"ec_pairs": [[0.2, True]], "e_values": [], "c_values": []},
     {"n_edges_values": [], "densities": [True]},
+    {"topologies": [{"label": "PA", "kind": "PA", "power": math.nan}]},
+    {"topologies": [{"label": "COM", "kind": "COM", "n_communities": 2,
+                     "intra_inter_ratio": math.nan}]},
 ], ids=["rate", "pa-power", "kind", "few-edges", "low-density", "many-edges",
         "float-replicates", "float-n", "float-seed", "float-sim-reps", "bool-n-gen",
-        "float-edges", "bool-e", "bool-c", "bool-pair", "bool-density"])
+        "float-edges", "bool-e", "bool-c", "bool-pair", "bool-density",
+        "nan-power", "nan-ratio"])
 def test_experiment_design_every_row_would_reject_exits_3(tmp_path, capsys, change):
     d = small_design_dict()
     d.update(change)

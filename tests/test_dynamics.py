@@ -515,3 +515,26 @@ def test_result_tables_have_one_writer():
                     and isinstance(node.value, ast.Name) and node.value.id == "csv"):
                 sites.append(f"{path.stem}.{owner.get(node, '<module>')}")
     assert sites == ["dynamics.write_csv"], sites
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # A name in ``__all__`` that only tests reach is API kept for its tests:
+    # each must appear as a name, an attribute or an imported name somewhere
+    # in the package or the benchmark.  Its own ``def`` or ``class`` and its
+    # string in ``__all__`` do not count.
+    root = Path(__file__).parents[1]
+    exported, used = {}, set()
+    for path in [*root.glob("src/secnet/*.py"), *root.glob("perfbench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif (isinstance(node, ast.Assign) and path.parent.name == "secnet"
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                exported[path.stem] = ast.literal_eval(node.value)
+    unused = [f"{mod}.{name}" for mod, names in sorted(exported.items())
+              for name in names if name not in used]
+    assert exported and not unused, unused

@@ -262,8 +262,9 @@ def test_horizon_matches_crude_simulation():
 def test_spectrum_of_m_is_one_plus_spectrum_of_r():
     tm = build_transition(gen_erdos_renyi(5, 7, np.random.default_rng(28)),
                           Params(0.4, 0.3))
-    ev_m = np.sort_complex(np.linalg.eigvals(tm.M))
-    ev_r = np.sort_complex(np.concatenate([np.linalg.eigvals(tm.R), [1.0]]))
+    m = tm.M
+    ev_m = np.sort_complex(np.linalg.eigvals(m))
+    ev_r = np.sort_complex(np.concatenate([np.linalg.eigvals(m[1:, 1:]), [1.0]]))
     assert np.allclose(ev_m, ev_r, atol=1e-10)
 
 
@@ -285,9 +286,10 @@ def test_qsd_invariants_and_residual():
     assert np.all(res.alpha >= 0)
     assert res.alpha.sum() == pytest.approx(1.0, abs=1e-12)
     assert res.residual <= 1e-8
-    assert np.max(np.abs(res.alpha @ tm.R - res.lambda1 * res.alpha)) <= 1e-8
+    r = tm.M[1:, 1:]
+    assert np.max(np.abs(res.alpha @ r - res.lambda1 * res.alpha)) <= 1e-8
     # spectral cross-check against a dense solver
-    ev = np.abs(np.linalg.eigvals(tm.R))
+    ev = np.abs(np.linalg.eigvals(r))
     ev.sort()
     assert res.lambda1 == pytest.approx(ev[-1], abs=1e-10)
     assert res.lambda2_abs == pytest.approx(ev[-2], abs=1e-8)
@@ -300,7 +302,7 @@ def test_qsd_lambda2_handles_complex_subdominant_pairs():
     for e, c in [(0.3, 0.3), (0.2, 0.5), (0.5, 0.1)]:
         tm = build_transition(graph, Params(e, c))
         res = qsd(tm)
-        ev = np.sort(np.abs(np.linalg.eigvals(tm.R)))
+        ev = np.sort(np.abs(np.linalg.eigvals(tm.M[1:, 1:])))
         assert res.lambda2_abs == pytest.approx(ev[-2], abs=1e-8)
         assert res.lambda2_abs < res.lambda1
 
@@ -309,7 +311,7 @@ def test_qsd_and_mean_time_match_dense_oracles():
     g = gen_erdos_renyi(10, netgen.density_to_n_edges(0.3, 10), np.random.default_rng(39))
     tm = build_transition(g, Params(0.1, 0.05))
     res = qsd(tm)
-    r = tm.R
+    r = tm.M[1:, 1:]
     ev = np.sort(np.abs(np.linalg.eigvals(r)))
     assert abs(res.lambda1 - ev[-1]) <= 1e-12
     assert abs(res.lambda2_abs - ev[-2]) <= 1e-12
@@ -326,7 +328,7 @@ def test_mean_time_matches_dense_solve_in_persistent_chains(e, c):
     # condition number of I - R, about the mean time itself.
     g = gen_erdos_renyi(8, netgen.density_to_n_edges(0.3, 8), np.random.default_rng(39))
     tm = build_transition(g, Params(e, c))
-    r = tm.R
+    r = tm.M[1:, 1:]
     m = np.linalg.solve(np.eye(r.shape[0]) - r, np.ones(r.shape[0]))
     assert m.min() >= 1e4
     for z0 in (all_occupied(8), 0b1, 0b10010):

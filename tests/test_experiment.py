@@ -1,5 +1,6 @@
 """Tests for the factorial experiment driver and its analysis helpers."""
 
+import csv
 import dataclasses
 import hashlib
 import math
@@ -15,7 +16,6 @@ from secnet.experiment import (
     RESULT_COLUMNS,
     preset,
     preset_names,
-    read_results_csv,
     run_factorial,
     scenario_compare,
     scenario_presets,
@@ -462,7 +462,7 @@ def test_compare_symbol_bins():
         rows.append(synth_row(2 * cell, 0, e, 0.05, 50, "A", pers=0.5))
         rows.append(synth_row(2 * cell + 1, 0, e, 0.05, 50, "B",
                               pers=0.5 * (1 - gap)))
-    out = scenario_compare(rows, responses=("persistence",))
+    out = [r for r in scenario_compare(rows) if r.response == "persistence"]
     assert [r.symbols[0] for r in out] == ["~", "≳", ">", "≫"]
 
 
@@ -535,6 +535,15 @@ def test_scenario_presets_move_rates_together():
 # CSV output
 
 
+def read_back(path):
+    """The rows of a results file, each cell parsed by its field's type."""
+    parse = {"int": int, "float": float, "str": str, "str | None": lambda s: s or None}
+    types = {f.name: parse[f.type] for f in dataclasses.fields(ResultRow)}
+    with open(path, newline="") as fh:
+        return [ResultRow(**{k: types[k](v) for k, v in rec.items()})
+                for rec in csv.DictReader(fh)]
+
+
 @pytest.mark.parametrize("estimator, include_runtime", [
     ("exact", False), ("crude", False), ("exact", True),
 ], ids=["exact", "crude", "exact-runtime"])
@@ -547,7 +556,7 @@ def test_results_csv_round_trip(tmp_path, estimator, include_runtime):
     write_results_csv(rows, path, include_runtime=include_runtime)
     header = path.read_text().splitlines()[0]
     assert header.split(",") == list(RESULT_COLUMNS) + ["runtime_s"] * include_runtime
-    back = read_results_csv(path)
+    back = read_back(path)
     assert back == (rows if include_runtime
                     else [dataclasses.replace(r, runtime_s=0.0) for r in rows])
     # a second serialisation is byte-identical
@@ -575,7 +584,7 @@ def test_variance_and_comparison_csv_writers(tmp_path):
     assert lines[-2].startswith("residual,")
     assert lines[-1].startswith("total,")
 
-    comp = scenario_compare(rows, responses=("persistence",))
+    comp = scenario_compare(rows)
     cpath = tmp_path / "compare.csv"
     write_comparison_csv(comp, cpath)
     clines = cpath.read_text().splitlines()

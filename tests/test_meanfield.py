@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from secnet import meanfield
 from secnet.dynamics import Params, state_to_array
 from secnet.exact import build_transition
 from secnet.meanfield import mf_iterate, mf_threshold
@@ -150,9 +151,10 @@ def test_certain_extinction_is_always_subcritical():
     assert rep.regime == "subcritical"
 
 
-def test_critical_manifold_raises_convergence_error():
+def test_critical_manifold_raises_convergence_error(monkeypatch):
     # e = c(1-e)*lambda1 exactly: the fixed-point iteration is sub-geometric
     from secnet.netgen import ConvergenceError
-    with pytest.raises(ConvergenceError):
-        mf_threshold(C10, Params(0.5, 0.5), max_iter=5000)
+    monkeypatch.setattr(meanfield, "FIXED_POINT_MAX_ITER", 5000)
+    with pytest.raises(ConvergenceError, match="in 5000 steps"):
+        mf_threshold(C10, Params(0.5, 0.5))
 

@@ -60,6 +60,8 @@ def test_graph_views_agree():
     assert a.diagonal().sum() == 0
     assert int(a.sum()) == 2 * g.n_edges
     assert np.array_equal(g.degrees, a.sum(axis=0).astype(int))
+    assert g.degrees.dtype == np.intp
+    assert np.array_equal(Graph(3, ()).degrees, [0, 0, 0])
     assert g.density == pytest.approx(6 / 10)
 
 
@@ -466,6 +468,20 @@ def test_spec_validation():
         TopologySpec(kind="ER", n=5, n_edges=3)
     with pytest.raises(ValueError):
         TopologySpec(kind="ER", n=5, n_edges=11)
+
+
+def test_nan_power_and_ratio_are_rejected():
+    # NaN fails every comparison, so a check written as "x < 1 raises"
+    # would let it through.
+    nan = float("nan")
+    with pytest.raises(ValueError, match="positive power"):
+        TopologySpec(kind="PA", n=10, n_edges=20, power=nan)
+    with pytest.raises(ValueError, match="intra_inter_ratio"):
+        TopologySpec(kind="COM", n=10, n_edges=20, n_communities=2, intra_inter_ratio=nan)
+    with pytest.raises(ValueError, match="power must be positive"):
+        gen_pref_attach(10, 20, nan, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="intra_inter_ratio"):
+        gen_community(10, 20, 2, nan, np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("kind,extra", [

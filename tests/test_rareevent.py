@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from secnet import rareevent
 from secnet.dynamics import Params, all_occupied
 from secnet.exact import build_transition, finite_horizon
 from secnet.netgen import Graph, density_to_n_edges, gen_erdos_renyi
 from secnet.rareevent import (
     SplittingConfig,
-    TwistSchedule,
     WorkCapExceeded,
     default_twist_schedule,
     geometric_thresholds,
@@ -87,28 +87,26 @@ def test_ips_death_fraction_series_diagnostic():
 # ---------------------------------------------------------------------------
 
 def test_twist_schedule_validation():
-    with pytest.raises(ValueError):
-        TwistSchedule((0.5, 1.0))
-    with pytest.raises(ValueError):
-        TwistSchedule((0.0,))
-    assert len(TwistSchedule((0.2, 0.3))) == 2
+    for rates in [(0.5, 1.0), (0.0, 0.5), (0.5, math.nan)]:
+        with pytest.raises(ValueError, match="strictly inside"):
+            is_extinction(P1, Params(0.5, 0.5), 1, 2, rates, 100, 0)
 
 
 def test_default_twist_schedule_shape():
     sch = default_twist_schedule(0.1, 5)
     assert len(sch) == 5
-    assert sch.rates[0] == pytest.approx(0.1)
-    assert sch.rates[-1] == pytest.approx(0.3)
-    assert all(b >= a for a, b in zip(sch.rates, sch.rates[1:]))
-    assert default_twist_schedule(0.4, 8).rates[-1] == pytest.approx(0.9)
-    assert default_twist_schedule(0.2, 1).rates == (pytest.approx(0.6),)
+    assert sch[0] == pytest.approx(0.1)
+    assert sch[-1] == pytest.approx(0.3)
+    assert all(b >= a for a, b in zip(sch, sch[1:]))
+    assert default_twist_schedule(0.4, 8)[-1] == pytest.approx(0.9)
+    assert default_twist_schedule(0.2, 1) == (pytest.approx(0.6),)
     with pytest.raises(ValueError):
         default_twist_schedule(0.0, 5)
 
 
 def test_is_null_twist_reduces_to_crude_frequency():
     params = Params(0.3, 0.25)
-    sch = TwistSchedule((0.3,) * 12)
+    sch = (0.3,) * 12
     est = is_extinction(ER6, params, all_occupied(6), 12, sch, 4000, seed=67)
     hits = est.diagnostics["n_extinct_trajectories"]
     assert est.value == pytest.approx(hits / 4000, abs=1e-12)
@@ -152,9 +150,9 @@ def test_is_matches_exact_chain_under_twisting():
 def test_is_validation():
     sch = default_twist_schedule(0.5, 5)
     with pytest.raises(ValueError):
-        is_extinction(P1, Params(0.0, 0.5), 1, 5, TwistSchedule((0.5,) * 5), 100, 0)
+        is_extinction(P1, Params(0.0, 0.5), 1, 5, (0.5,) * 5, 100, 0)
     with pytest.raises(ValueError):
-        is_extinction(P1, Params(1.0, 0.5), 1, 5, TwistSchedule((0.5,) * 5), 100, 0)
+        is_extinction(P1, Params(1.0, 0.5), 1, 5, (0.5,) * 5, 100, 0)
     with pytest.raises(ValueError):
         is_extinction(P1, Params(0.5, 0.5), 1, 4, sch, 100, 0)  # length mismatch
     with pytest.raises(ValueError):
@@ -164,9 +162,9 @@ def test_is_validation():
 def test_is_accepts_plain_rate_sequences_and_is_deterministic():
     params = Params(0.3, 0.3)
     a = is_extinction(ER6, params, all_occupied(6), 8, [0.4] * 8, 2000, seed=69)
-    b = is_extinction(ER6, params, all_occupied(6), 8,
-                      TwistSchedule((0.4,) * 8), 2000, seed=69)
-    assert a.value == b.value
+    b = is_extinction(ER6, params, all_occupied(6), 8, np.full(8, 0.4), 2000, seed=69)
+    c = is_extinction(ER6, params, all_occupied(6), 8, (0.4,) * 8, 2000, seed=69)
+    assert a.value == b.value == c.value
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +229,11 @@ def test_splitting_level_product_identity():
     assert est.diagnostics["thresholds"] == [4, 2, 0]
 
 
-def test_splitting_impossible_event_hits_the_work_cap():
-    with pytest.raises(WorkCapExceeded):
+def test_splitting_impossible_event_hits_the_work_cap(monkeypatch):
+    monkeypatch.setattr(rareevent, "MAX_ATTEMPTS_PER_LEVEL", 500)
+    with pytest.raises(WorkCapExceeded, match="in 500 attempts"):
         split_extinction(ER6, Params(0.0, 0.5), all_occupied(6), 10,
-                         SplittingConfig((4,), 5), seed=71,
-                         n_replications=1, max_attempts_per_level=500)
+                         SplittingConfig((4,), 5), seed=71, n_replications=1)
 
 
 def test_splitting_validation():
