@@ -146,9 +146,10 @@ class Kernel:
     products exactly below 2**24), so draws match.
 
     ``step`` reuses one set of work buffers, sized for the largest block
-    stepped so far and sliced ``[:k]`` for smaller ones: the uniforms, the
-    ``pcol`` lookup, the integer counts and, on the dense path, the float
-    counts.  ``dataclasses.replace`` gives the copy an empty set.
+    stepped so far and sliced for smaller ones: one buffer of 2·k·n
+    uniforms, whose extinction half then takes the ``pcol`` lookup, the
+    integer counts and, on the dense path, the float counts.
+    ``dataclasses.replace`` gives the copy an empty set.
     """
 
     n: int
@@ -170,6 +171,19 @@ class Kernel:
         """A writable (reps, n) block with every row in state ``z0``."""
         return np.broadcast_to(state_to_array(z0, self.n), (reps, self.n)).copy()
 
+    def counts(self, block: np.ndarray) -> np.ndarray:
+        """Occupied patches per row of a (reps, n) block, as float64.
+
+        A float32 product with a ones vector sums 0/1 exactly below 2**24
+        and beats a bool row sum on short rows.  The result is float64 so
+        that IS's log weights and crude's squared sums, which pass 2**24,
+        are computed in float64.
+        """
+        ones = self._work.get("ones")
+        if ones is None:
+            ones = self._work["ones"] = np.ones(self.n, np.float32)
+        return np.matmul(block, ones).astype(np.float64)
+
     def step(
         self, occ: np.ndarray, rng: np.random.Generator, e: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -177,20 +191,20 @@ class Kernel:
 
         Returns ``(survivors, next_occ)``, both freshly allocated, so a
         caller may keep or write into them.  ``e`` replaces the extinction
-        rate for this generation (importance sampling twists it).  Uniforms
-        are drawn for every patch regardless of occupancy so the stream
+        rate for this generation (importance sampling twists it).  One
+        ``rng.random`` call draws 2·reps·n uniforms for every patch
+        regardless of occupancy, the extinction phase's first, so the stream
         consumption per generation is fixed.
         """
         k = occ.shape[0]
         work = self._work
         if work.get("rows", -1) < k:
-            shape = (k, self.n)
             dense = isinstance(self.adjacency, np.ndarray)
-            work.update(rows=k, u=np.empty(shape), p=np.empty(shape),
-                        o=np.empty(shape, np.intp),
-                        f=np.empty(shape, self.adjacency.dtype) if dense else None)
-        u, p, o = work["u"][:k], work["p"][:k], work["o"][:k]
-        survivors = rng.random(out=u) >= (self.e if e is None else e)
+            work.update(rows=k, u=np.empty(2 * occ.size), o=np.empty(occ.shape, np.intp),
+                        f=np.empty(occ.shape, self.adjacency.dtype) if dense else None)
+        u = rng.random(out=work["u"][:2 * occ.size]).reshape(2, *occ.shape)
+        o = work["o"][:k]
+        survivors = u[0] >= (self.e if e is None else e)
         survivors &= occ
         if work["f"] is None:
             # A block times a CSR comes back F-ordered; the cast puts it in
@@ -199,10 +213,11 @@ class Kernel:
         else:
             o[...] = np.matmul(survivors, self.adjacency, out=work["f"][:k])
         # Counts never exceed the largest degree, so "clip" only skips the
-        # copy of ``out`` that the default "raise" mode makes.
-        np.take(self.pcol, o, out=p, mode="clip")
+        # copy of ``out`` that the default "raise" mode makes.  The spent
+        # extinction uniforms take the lookup.
+        p = np.take(self.pcol, o, out=u[0], mode="clip")
         # Colonising a surviving patch changes nothing, so no ~survivors mask.
-        next_occ = rng.random(out=u) < p
+        next_occ = u[1] < p
         next_occ |= survivors
         return survivors, next_occ
 
@@ -314,20 +329,20 @@ def estimate_crude(
         reps = min(BLOCK_REPS, n_reps - b * BLOCK_REPS)
         rng = np.random.default_rng(streams[b])
         occ = kernel.start(z0, reps)
-        counts = occ.sum(axis=1)
+        counts = kernel.counts(occ)
         alive[0] += int((counts > 0).sum())
         occ_sum[0] += float(counts.sum())
         t_stop = n_gen
         for t in range(1, n_gen + 1):
             _, occ = kernel.step(occ, rng)
-            counts = occ.sum(axis=1)
+            counts = kernel.counts(occ)
             alive[t] += int((counts > 0).sum())
             occ_sum[t] += float(counts.sum())
             if not counts.any():
                 t_stop = t
                 break
         if t_stop == n_gen:
-            final_sq_sum += float((counts.astype(np.float64) ** 2).sum())
+            final_sq_sum += float((counts ** 2).sum())
         # Blocks that died out contribute zeros to every later generation
         # and zero squared occupancy at the horizon.
 

@@ -535,6 +535,8 @@ def extinction_heatmap(
     """
     e_grid = np.asarray(list(e_grid), dtype=float)
     c_grid = np.asarray(list(c_grid), dtype=float)
+    for e in e_grid:  # the exact path sets e by ``replace``, past this check
+        Params(float(e), 0.0)
     n = graph.n
     if z0 is None:
         z0 = (1 << n) - 1

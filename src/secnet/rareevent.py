@@ -89,8 +89,8 @@ def ips_persistence(
         product = 1.0
         for t in range(n_gen):
             _, occ = kernel.step(occ, rng)
-            dead = ~occ.any(axis=1)
-            n_dead = int(dead.sum())
+            dead = kernel.counts(occ) == 0
+            n_dead = int(np.count_nonzero(dead))
             frac = n_dead / n_particles
             death_fractions[b, t] = frac
             product *= 1.0 - frac
@@ -176,16 +176,17 @@ def is_extinction(
         rng = np.random.default_rng(streams[b])
         occ = kernel.start(z0, reps)
         logw = np.zeros(reps)
+        k = kernel.counts(occ)  # occupied before each extinction phase
         for t in range(n_gen):
-            k = occ.sum(axis=1)  # occupied before the extinction phase
             if not k.any():
                 break  # all absorbed; every remaining ratio is one
             survivors, occ = kernel.step(occ, rng, rates[t])
-            s = survivors.sum(axis=1)
+            s = kernel.counts(survivors)
             d = k - s
             ld, ls = log_ratios[t]
             logw += d * ld + s * ls
-        extinct = ~occ.any(axis=1)
+            k = kernel.counts(occ)
+        extinct = k == 0
         w = np.where(extinct, np.exp(logw), 0.0)
         w_sum += float(w.sum())
         w_sq_sum += float((w * w).sum())
@@ -261,22 +262,41 @@ def _batch_crossings(
 
     Returns (crossed, cross_t, cross_states).  Rows are independent; a row
     entering at generation s takes its first step at s + 1.
+
+    Every row is stepped every generation: the draws per generation are
+    fixed by the block's size, not by which rows move, and a row's next
+    state depends only on its own state and uniforms.  So a row that has not
+    entered yet may evolve from anything, as long as its entry state is
+    written back just before its first step at s + 1, and a crossed row may
+    evolve on, since nothing reads it again.  Only rows that have entered
+    and not crossed are tested for a hit.
     """
+    cross_t = np.where(kernel.counts(states) <= threshold, starts, -1)
+    cross_states = np.where((cross_t >= 0)[:, None], states, False)
+    waiting = np.flatnonzero(cross_t < 0)
+    n_pending = waiting.size
+    # The waiting rows by entry generation: those entering at s are
+    # order[first[s]:first[s + 1]].
+    order = waiting[np.argsort(starts[waiting])]
+    first = np.searchsorted(starts[order], np.arange(n_gen + 1)).tolist()
+    # A row hits when its count is at most its ceiling: the threshold from
+    # its entry to its hit, and -1 before and after.
+    ceiling = np.full(len(starts), -1.0)
     occ = states.copy()
-    cross_t = np.where(occ.sum(axis=1) <= threshold, starts, -1)
-    cross_states = np.where((cross_t >= 0)[:, None], occ, False)
-    pending = cross_t < 0
     for t in range(int(starts.min()) + 1, n_gen + 1):
-        if not pending.any():
+        if not n_pending:
             break
-        stepping = pending & (starts < t)
-        _, stepped = kernel.step(occ, rng)
-        occ = np.where(stepping[:, None], stepped, occ)
-        hit = stepping & (occ.sum(axis=1) <= threshold)
-        if hit.any():
+        rows = order[first[t - 1]:first[t]]
+        if rows.size:
+            occ[rows] = states[rows]
+            ceiling[rows] = threshold
+        _, occ = kernel.step(occ, rng)
+        hit = np.flatnonzero(kernel.counts(occ) <= ceiling)
+        if hit.size:
             cross_t[hit] = t
             cross_states[hit] = occ[hit]
-            pending &= ~hit
+            ceiling[hit] = -1.0
+            n_pending -= hit.size
     return cross_t >= 0, cross_t, cross_states
 
 

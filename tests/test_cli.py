@@ -422,6 +422,20 @@ def test_heatmap_empty_grid_exits_2_before_writing(tmp_path, graph_file, e_steps
     assert list(tmp_path.iterdir()) == [graph_file]
 
 
+@pytest.mark.parametrize("e_min,e_max", [("0.5", "1.5"), ("nan", "0.5")])
+@pytest.mark.parametrize("method", ["exact", "sim"])
+def test_heatmap_bad_extinction_rate_exits_4_before_writing(
+        tmp_path, graph_file, capsys, e_min, e_max, method):
+    out = tmp_path / "heat.csv"
+    rc = main(["heatmap", "--graph", str(graph_file),
+               "--e-min", e_min, "--e-max", e_max, "--e-steps", "2",
+               "--c-min", "0.1", "--c-max", "0.5", "--c-steps", "2",
+               "--gens", "5", "--method", method, "--reps", "20", "--out", str(out)])
+    assert rc == EXIT_COMPUTE
+    assert "outside [0, 1]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [graph_file]
+
+
 def test_heatmap_records_a_seed_only_when_it_simulates(tmp_path, graph_file):
     grid = ["--e-min", "0.1", "--e-max", "0.5", "--e-steps", "2",
             "--c-min", "0.1", "--c-max", "0.5", "--c-steps", "2", "--gens", "5"]

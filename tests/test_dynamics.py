@@ -450,6 +450,33 @@ def test_reused_buffers_draw_what_a_fresh_kernel_draws(graph):
             occ, ref_occ = nxt, ref_nxt
 
 
+@pytest.mark.parametrize("graph", [_random_graph(100, 1500, seed=7), _hub_graph(), G300],
+                         ids=["dense", "hub", "G300"])
+def test_counts_are_float64_row_sums(graph):
+    kernel = Kernel.prepare(graph, Params(0.2, 0.1))
+    block = np.random.default_rng(9).random((BLOCK_REPS, graph.n)) < 0.9
+    block[::3] = False  # all-empty rows
+    counts = kernel.counts(block)
+    assert counts.dtype == np.float64
+    assert np.array_equal(counts, block.sum(axis=1))
+    if graph.n > 255:  # counts past the uint8 range
+        assert counts.max() > 255
+    assert np.array_equal(kernel.counts(block[:1]), block[:1].sum(axis=1))
+
+
+@pytest.mark.parametrize("graph", [_random_graph(100, 1500, seed=7), G300],
+                         ids=["dense", "G300"])
+@pytest.mark.parametrize("k", [1, 256, BLOCK_REPS])
+def test_a_step_reads_two_k_n_uniforms(graph, k):
+    kernel = Kernel.prepare(graph, Params(0.2, 0.1))
+    occ = np.random.default_rng(10).random((k, graph.n)) < 0.5
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    for e in (None, 0.4):  # 0.4: the twisted rate importance sampling passes
+        kernel.step(occ, rng, e)
+        twin.random(2 * k * graph.n)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_no_module_imports_another_modules_private_names():
     # The kernel is reached through ``Kernel`` and the exact chain's state
     # encoding stays inside ``exact``; a private helper reached from another

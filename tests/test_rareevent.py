@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from secnet import rareevent
-from secnet.dynamics import Params, all_occupied
+from secnet.dynamics import Kernel, Params, all_occupied
 from secnet.exact import build_transition, finite_horizon
 from secnet.netgen import Graph, density_to_n_edges, gen_erdos_renyi
 from secnet.rareevent import (
@@ -227,6 +227,57 @@ def test_splitting_level_product_identity():
     assert len(level_estimates) == 3  # two thresholds plus the implicit zero
     assert est.value == pytest.approx(math.prod(level_estimates), rel=1e-12)
     assert est.diagnostics["thresholds"] == [4, 2, 0]
+
+
+def _batch_crossings_oracle(starts, states, threshold, n_gen, kernel, rng):
+    """Steps every row and freezes the rows not yet entered or already
+    crossed with a per-generation ``np.where``."""
+    occ = states.copy()
+    cross_t = np.where(occ.sum(axis=1) <= threshold, starts, -1)
+    cross_states = np.where((cross_t >= 0)[:, None], occ, False)
+    pending = cross_t < 0
+    for t in range(int(starts.min()) + 1, n_gen + 1):
+        if not pending.any():
+            break
+        stepping = pending & (starts < t)
+        _, stepped = kernel.step(occ, rng)
+        occ = np.where(stepping[:, None], stepped, occ)
+        hit = stepping & (occ.sum(axis=1) <= threshold)
+        if hit.any():
+            cross_t[hit] = t
+            cross_states[hit] = occ[hit]
+            pending &= ~hit
+    return cross_t >= 0, cross_t, cross_states
+
+
+@pytest.mark.parametrize("case", ["equal-starts", "spread-starts", "cross-at-entry",
+                                  "all-cross-at-entry", "unreached"])
+def test_batch_crossings_match_the_per_generation_loop(case):
+    n_gen, rows = 12, 256
+    # e = 0: occupancy never falls, so a full start never reaches the threshold.
+    kernel = Kernel.prepare(ER6, Params(0.0 if case == "unreached" else 0.3, 0.3))
+    threshold = {"all-cross-at-entry": 6, "unreached": 5}.get(case, 2)
+    for seed in range(40):
+        draw = np.random.default_rng(seed)
+        if case == "equal-starts":
+            starts = np.full(rows, draw.integers(0, n_gen))
+        else:  # spread over 0..n_gen, a few rows entering at the horizon itself
+            starts = np.r_[draw.integers(0, n_gen + 1, rows - 4), [n_gen] * 4]
+        density = {"cross-at-entry": 0.4, "unreached": 1.0}.get(case, 0.8)
+        states = draw.random((rows, ER6.n)) < density
+        rng, twin = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+        got = rareevent._batch_crossings(starts, states.copy(), threshold, n_gen, kernel, rng)
+        want = _batch_crossings_oracle(starts, states, threshold, n_gen, kernel, twin)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        crossed, cross_t, _ = got
+        if case == "cross-at-entry":
+            assert (cross_t == starts).any() and (crossed & (cross_t > starts)).any()
+        elif case == "all-cross-at-entry":
+            assert np.array_equal(cross_t, starts)
+        elif case == "unreached":
+            assert not crossed.any()
 
 
 def test_splitting_impossible_event_hits_the_work_cap(monkeypatch):
