@@ -4,26 +4,29 @@ The occupancy process on ``n`` patches is a Markov chain on the ``2**n``
 bitmask states, with state 0 absorbing.  One generation is two phases:
 
 * extinction, ``E[z, z']`` -- nonzero only for ``z'`` a subset of ``z``,
-  with probability ``e**(|z|-|z'|) * (1-e)**|z'|``.  It factorises into one
-  2 x 2 step per patch and is applied factor by factor, never stored;
+  with probability ``e**(|z|-|z'|) * (1-e)**|z'|``.  It is the Kronecker
+  power of one 2 x 2 factor per patch, never stored whole;
 * colonisation, ``C[z, z']`` -- nonzero only for ``z`` a subset of ``z'``:
   each empty patch turns on independently with probability
   ``1 - (1-c)**o`` where ``o`` counts its occupied neighbours in ``z``.
 
-``TransitionMatrices`` is that generation as one operator: its ``apply``
-runs the factored extinction and then a colonisation sweep that eliminates
-the patches one at a time (bucket elimination, Dechter 1999).  Each patch's
-source bit is split into a (source, target) digit, which collapses to the
-target bit once all the patch's neighbours are split, so only the frontier
-between split and unsplit patches is held as pairs.  ``apply`` drives every
-propagation here -- finite horizons and an extinction-probability grid over
-``(e, c)``.  The quasi-stationary distribution (left Perron eigenvector of
-the transient block ``R``) with its spectral diagnostics, and mean
-extinction times, come from Krylov solvers that only call ``apply``:
-implicitly restarted Arnoldi (ARPACK) and GMRES, through
-``scipy.sparse.linalg``, which is imported only when they run.  No path
-forms a ``2**n x 2**n`` array; the dense ``E``, ``C`` and ``M = E @ C``
-are built only on demand, as test oracles (``R`` is ``M[1:, 1:]``).
+``TransitionMatrices`` is that generation as one operator.  Its ``apply``
+gathers the vector into split order, applies the extinction there in
+Kronecker blocks of four patches (the shuffle algorithm; Fernandes, Plateau
+& Stewart 1998), then a colonisation sweep that eliminates the patches one
+at a time in that order (bucket elimination, Dechter 1999), and gathers the
+result back.  Each patch's source bit is split into a (source, target)
+digit, which collapses to the target bit once all the patch's neighbours are
+split, so only the frontier between split and unsplit patches is held as
+pairs.  ``apply`` drives every propagation here -- finite horizons and an
+extinction-probability grid over ``(e, c)``.  The quasi-stationary
+distribution (left Perron eigenvector of the transient block ``R``) with its
+spectral diagnostics, and mean extinction times, come from Krylov solvers
+that only call ``apply``: implicitly restarted Arnoldi (ARPACK) and GMRES,
+through ``scipy.sparse.linalg``, which is imported only when they run.  No
+path forms a ``2**n x 2**n`` array; the dense ``E``, ``C`` and
+``M = E @ C`` are built only on demand, as test oracles (``R`` is
+``M[1:, 1:]``).
 """
 
 from __future__ import annotations
@@ -132,7 +135,8 @@ class TransitionMatrices:
     (row) and the digits of the split ones (column), and ``retire[k]`` the
     inner block size of each digit that collapses after that split.
     ``E``, ``C`` and ``M = E @ C`` are dense copies built on each access,
-    for tests to check against; no computation here reads them.
+    for tests to check against; no computation here reads them.  They keep
+    the per-patch extinction, an oracle independent of ``apply``'s blocks.
     """
 
     n: int
@@ -149,8 +153,11 @@ class TransitionMatrices:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """One generation of a distribution (row vector): ``v @ E @ C``."""
-        return self.colonise(_apply_extinction_inplace(np.array(v, dtype=float),
-                                                       self.n, self.e))
+        return self._propagate(v, self._extinction_blocks)
+
+    def colonise(self, v: np.ndarray) -> np.ndarray:
+        """``v @ C``."""
+        return self._propagate(v, ())
 
     @cached_property
     def _sweep_buffers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -158,16 +165,41 @@ class TransitionMatrices:
         size = 3 * max(p.size for p in self.tables)
         return np.empty(size), np.empty(size)
 
-    def colonise(self, v: np.ndarray) -> np.ndarray:
-        """``v @ C`` by variable elimination along ``order``: a split turns a
+    @cached_property
+    def _split_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gather indices into split order (bit k is patch ``order[k]``) and back."""
+        axes = [self.n - 1 - x for x in reversed(self.order)]
+        states = np.arange(self.n_states).reshape((2,) * self.n)
+        return states.transpose(axes).ravel(), states.transpose(np.argsort(axes)).ravel()
+
+    @cached_property
+    def _extinction_blocks(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """``E`` as (lowest bit, block) for each 4 bits of a state; a block is
+        ``E`` on up to 4 patches, a Kronecker power of the one-patch factor."""
+        powers = [np.array([[1.0, 0.0], [self.e, 1.0 - self.e]])]
+        for _ in range(3):
+            powers.append(np.kron(powers[-1], powers[0]))
+        return tuple((lo, powers[min(4, self.n - lo) - 1]) for lo in range(0, self.n, 4))
+
+    def _propagate(self, v: np.ndarray, blocks: tuple[tuple[int, np.ndarray], ...]) -> np.ndarray:
+        """``v`` gathered into split order, times the extinction ``blocks``,
+        then ``C`` by variable elimination along ``order``: a split turns a
         source bit into a digit, empty (weight ``1 - p``), colonised (``p``)
         or occupied, which collapses to its target bit once every neighbour
         is split.  Returns a new array; the work arrays are reused, so calls
         must not overlap."""
-        n, work, i = self.n, self._sweep_buffers, 0
-        axes = [n - 1 - x for x in reversed(self.order)]  # bits in split order
-        a = work[0][:1 << n]
-        a.reshape((2,) * n)[...] = np.reshape(v, (2,) * n).transpose(axes)
+        work, i, s = self._sweep_buffers, 0, self.n_states
+        # the indices are in range; with out=, mode "raise" would copy first
+        a = np.take(np.asarray(v, dtype=float).reshape(s), self._split_order[0], mode="clip",
+                    out=work[0][:s])
+        for lo, block in blocks:
+            a = a.reshape(-1, len(block), 1 << lo)
+            i ^= 1
+            b = work[i][:s].reshape(a.shape)
+            if lo:
+                a = np.matmul(block.T, a, out=b)
+            else:  # one matrix product, not one per row
+                a = np.matmul(a[..., 0], block, out=b[..., 0])
         for p, inners in zip(self.tables, self.retire):
             # own: the patch collapses as it splits (only its view is this wide)
             (rows, width), own = p.shape, p.shape[1] in inners
@@ -186,7 +218,7 @@ class TransitionMatrices:
                 b[:, 0] = a[:, 0]
                 np.add(a[:, 1], a[:, 2], out=b[:, 1])
             a = b
-        return a.reshape((2,) * n).transpose(np.argsort(axes)).flatten()
+        return np.take(a.ravel(), self._split_order[1])
 
     @property
     def E(self) -> np.ndarray:
@@ -313,8 +345,8 @@ def finite_horizon(
 def finite_horizon_matrix_free(graph: Graph, params: Params, z0: int, n_gen: int) -> HorizonTable:
     """``finite_horizon`` from a graph, for any ``n`` up to ``MAX_N``.
 
-    On ER graphs of density 0.3 a generation took 0.005 s at ``n = 14``,
-    0.03 s at 16 and 0.1 s at 17 (2-vCPU Xeon VM, one BLAS thread).
+    On ER graphs of density 0.3 a generation took 0.004 s at ``n = 14``,
+    0.026 s at 16 and 0.2 s at 17 (2-vCPU Xeon VM, one BLAS thread).
     """
     _check_cap(graph.n, MAX_N)
     return finite_horizon(_operator(graph, params), z0, n_gen)

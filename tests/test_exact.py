@@ -131,6 +131,22 @@ def test_frontier_sweep_matches_oracles_on_every_order_shape(name):
         assert not any(np.shares_memory(out, buf) for buf in tm._sweep_buffers)
 
 
+# Extinction runs in Kronecker blocks of 4 patches: one block is the whole of
+# E at n = 3 and 4, and the top block is partial at n = 5, 9 and 10.
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 10])
+@pytest.mark.parametrize("e", [0.0, 0.3, 1.0])
+def test_block_extinction_matches_the_dense_oracle_at_block_edges(n, e):
+    graph = gen_erdos_renyi(n, max(n - 1, n * (n - 1) // 6), np.random.default_rng(50 + n))
+    tm = build_transition(graph, Params(e, 0.3))
+    v = np.random.default_rng(51).random(tm.n_states)
+    v /= v.sum()
+    out = tm.apply(v)
+    assert np.allclose(out, v @ tm.M, rtol=0.0, atol=1e-15)
+    kept = [block for _, block in tm._extinction_blocks]
+    kept += [*tm._split_order, *tm._sweep_buffers]
+    assert not any(np.shares_memory(out, a) for a in kept)
+
+
 def test_relabelled_graph_gives_the_same_horizon():
     g = gen_erdos_renyi(9, 14, np.random.default_rng(42))
     perm = np.random.default_rng(43).permutation(9)

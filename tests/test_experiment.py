@@ -212,7 +212,7 @@ def test_worker_pool_matches_serial_run(tmp_path, estimator):
 def test_results_csv_is_pinned(tmp_path):
     # Every route: exact rows, crude rows, crude rows escalated to IPS and
     # to IS, and a failed row (the exact estimator over the cap).  The exact
-    # cells follow the colonisation sweep's summation order, so a change to
+    # cells follow the exact operator's summation order, so a change to
     # that order moves them in the last bits and needs a new hash.
     designs = [
         small_design(topologies=(ER, LAT), c_values=(0.3, 0.5)),
@@ -228,7 +228,7 @@ def test_results_csv_is_pinned(tmp_path):
     path = tmp_path / "rows.csv"
     write_results_csv(rows, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "53549606fbe89eed9283ca6fde7a14c4b5d1a3f95f6ab978d9eed2b259b6dcdf"
+        "12a001f4759717e1994e84d5c5047162356040e463c106c14d9de49eec98bec7"
 
 
 def test_each_network_is_built_once(monkeypatch):
