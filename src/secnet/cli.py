@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, exact, experiment, meanfield, netgen, rareevent
-from .dynamics import Params, all_occupied, estimate_crude, simulate, \
+from .dynamics import RNG_PROTOCOL, Params, all_occupied, estimate_crude, simulate, \
     write_csv, write_report_csv, write_trajectory_csv
 
 EXIT_INPUT = 3
@@ -147,11 +147,12 @@ def cmd_simulate(args) -> int:
     graph = _load_graph(args.graph)
     params = Params(e=args.e, c=args.c)
     z0 = _parse_state(args.z0, graph.n)
-    report = estimate_crude(graph, params, z0, args.gens, args.reps, args.seed)
+    report = estimate_crude(graph, params, z0, args.gens, args.reps, args.seed,
+                            args.rng_protocol)
     write_report_csv(report, args.out)
     if args.sample_trajectory:
         rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(3,)))
-        traj = simulate(graph, params, z0, args.gens, rng)
+        traj = simulate(graph, params, z0, args.gens, rng, args.rng_protocol)
         write_trajectory_csv(traj, args.sample_trajectory)
     _write_manifest(args, "simulate")
     p = report.persistence
@@ -186,19 +187,20 @@ def cmd_rare(args) -> int:
     if args.method == "ips":
         est = rareevent.ips_persistence(
             graph, params, z0, args.gens, args.particles, args.seed,
-            n_batches=args.batches)
+            n_batches=args.batches, protocol=args.rng_protocol)
     elif args.method == "is":
         schedule = rareevent.default_twist_schedule(
             args.e, args.gens, peak=args.twist_peak)
         est = rareevent.is_extinction(
-            graph, params, z0, args.gens, schedule, args.sims, args.seed)
+            graph, params, z0, args.gens, schedule, args.sims, args.seed,
+            args.rng_protocol)
     else:
         levels = args.thresholds or rareevent.geometric_thresholds(graph.n, args.levels)
         config = rareevent.SplittingConfig(
             thresholds=tuple(levels), n_success=args.success)
         est = rareevent.split_extinction(
             graph, params, z0, args.gens, config, args.seed,
-            n_replications=args.replications)
+            n_replications=args.replications, protocol=args.rng_protocol)
     if args.out:
         _write_json(args.out, dataclasses.asdict(est))
     if args.diagnostics:
@@ -236,7 +238,8 @@ def cmd_heatmap(args) -> int:
     result = exact.extinction_heatmap(
         graph, e_grid, c_grid, args.gens,
         z0=_parse_state(args.z0, graph.n), cap=args.cap,
-        method=args.method, n_reps=args.reps, seed=args.seed)
+        method=args.method, n_reps=args.reps, seed=args.seed,
+        protocol=args.rng_protocol)
     exact.write_heatmap_csv(result, args.out, contour_path=args.contour)
     if result.method == "exact":
         args.seed = None  # the exact grid draws nothing, so no seed determines it
@@ -281,6 +284,8 @@ def _resolve_design(args) -> experiment.Design:
 
 def cmd_experiment(args) -> int:
     design = _resolve_design(args)
+    if args.rng_protocol is not None:
+        design = dataclasses.replace(design, rng_protocol=args.rng_protocol)
     rows = experiment.run_factorial(design, workers=args.workers)
     experiment.write_results_csv(rows, args.out,
                                  include_runtime=args.include_runtime)
@@ -334,6 +339,9 @@ def cmd_rerun(args) -> int:
     # lists a subcommand's options only in private attributes.
     commands = next(a for a in build_parser()._actions if a.dest == "command")
     for action in commands.choices[command]._actions:
+        if action.dest == "rng_protocol":
+            # Manifests written before the protocol was recorded drew under version 1.
+            stored.setdefault(action.dest, 1)
         if action.dest != "help" and action.dest not in stored:
             raise InputError(f"manifest {args.manifest_file} lacks argument {action.dest!r}")
         # Older manifests hold ``--thresholds`` as text: parse it as argparse would.
@@ -386,8 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", type=float, required=True,
                        help="per-link colonisation probability")
 
-    def add_common(p, z0=True):
+    def add_common(p, z0=True, protocol=False):
         p.add_argument("--graph", required=True, help="graph JSON file")
+        if protocol:
+            p.add_argument("--rng-protocol", type=int, choices=(1, 2), default=RNG_PROTOCOL,
+                           help="RNG protocol the simulation draws by")
         if z0:
             p.add_argument("--z0", default="all",
                            help="initial state: 'all' or a hex mask")
@@ -424,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.set_defaults(func=cmd_exact)
 
     s = sub.add_parser("simulate", help="crude Monte Carlo over many replicates")
-    add_common(s)
+    add_common(s, protocol=True)
     add_rates(s)
     s.add_argument("--gens", type=int, required=True)
     s.add_argument("--reps", type=int, default=10_000)
@@ -435,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_simulate)
 
     r = sub.add_parser("rare", help="rare-event estimators")
-    add_common(r)
+    add_common(r, protocol=True)
     add_rates(r)
     r.add_argument("--gens", type=int, required=True)
     r.add_argument("--seed", type=int, default=None)
@@ -466,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_meanfield)
 
     h = sub.add_parser("heatmap", help="extinction probability over a rate grid")
-    add_common(h)
+    add_common(h, protocol=True)
     h.add_argument("--e-min", type=float, required=True)
     h.add_argument("--e-max", type=float, required=True)
     h.add_argument("--e-steps", type=_positive_int, required=True)
@@ -491,6 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--design", default=None, help="design JSON file")
     e.add_argument("--master-seed", type=int, default=None,
                    help="override the design's master seed")
+    e.add_argument("--rng-protocol", type=int, choices=(1, 2), default=None,
+                   help=f"override the design's RNG protocol (default {RNG_PROTOCOL})")
     e.add_argument("--workers", type=int, default=_default_workers(),
                    help="worker processes (env SECNET_WORKERS)")
     e.add_argument("--out", required=True, help="results CSV")

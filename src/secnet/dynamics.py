@@ -13,6 +13,13 @@ steps blocks of replicates.  Every simulation route, here and in
 ``rareevent``, advances the chain through it; a CSR adjacency on large
 sparse graphs counts neighbours exactly as the dense one.
 
+The RNG protocol fixes which sample a seed draws, never its law.  Version
+1 draws two uniforms per patch and generation, one per phase, for every
+replicate.  Version 2 (``RNG_PROTOCOL``) draws one: a patch survives iff
+``u >= e``, and as ``u / e`` is uniform given ``u < e`` (Devroye 1986), one
+that died is recolonised iff ``u < e * pcol[o]``; ``estimate_crude`` and
+``is_extinction`` also stop stepping absorbed replicates.
+
 States are integer bitmasks (bit ``i`` set means patch ``i`` is occupied);
 state ``0`` is absorbing.  ``simulate`` follows a single state,
 ``estimate_crude`` runs a vectorised batch of replicates with
@@ -42,6 +49,7 @@ __all__ = [
     "EstimateReport",
     "Kernel",
     "Params",
+    "RNG_PROTOCOL",
     "Trajectory",
     "all_occupied",
     "array_to_state",
@@ -59,6 +67,9 @@ __all__ = [
 # changing it changes which sample you draw (never its law), so it is not a
 # tuning knob and results never depend on how blocks are scheduled.
 BLOCK_REPS = 1024
+
+# The RNG protocol a run uses unless told otherwise; manifests record it.
+RNG_PROTOCOL = 2
 
 # ``Kernel`` counts neighbours by CSR from SPARSE_MIN_N patches up to this density.
 # Against float32 dense counts, steps of 1024 replicates ran 1.4-2.3x faster by CSR
@@ -143,29 +154,33 @@ class Kernel:
     neighbours is colonised.  ``adjacency`` is the graph's dense 0/1 matrix
     as float32, or on sparse graphs its integer CSR ``Graph.sparse_adjacency``;
     ``survivors @ adjacency`` counts exactly in both (float32 sums 0/1
-    products exactly below 2**24), so draws match.
+    products exactly below 2**24), so draws match.  ``protocol`` is the RNG
+    protocol ``step`` follows (see the module docstring).
 
     ``step`` reuses one set of work buffers, sized for the largest block
-    stepped so far and sliced for smaller ones: one buffer of 2·k·n
-    uniforms, whose extinction half then takes the ``pcol`` lookup, the
-    integer counts and, on the dense path, the float counts.
-    ``dataclasses.replace`` gives the copy an empty set.
+    stepped so far and sliced for smaller ones: 2·k·n floats (version 1's
+    uniforms, or version 2's uniforms and thresholds), the integer counts
+    and, on the dense path, the float counts.  ``dataclasses.replace``
+    gives the copy an empty set.
     """
 
     n: int
     adjacency: np.ndarray  # or a scipy.sparse.csr_array
     e: float
     pcol: np.ndarray
+    protocol: int = RNG_PROTOCOL
     _work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def prepare(cls, graph: Graph, params: Params) -> Kernel:
+    def prepare(cls, graph: Graph, params: Params, protocol: int = RNG_PROTOCOL) -> Kernel:
+        if protocol not in (1, 2):
+            raise ValueError(f"RNG protocol {protocol!r} is not 1 or 2")
         max_degree = int(graph.degrees.max()) if graph.n_edges else 0
         pcol = 1.0 - (1.0 - params.c) ** np.arange(max_degree + 1)
         sparse = graph.n >= SPARSE_MIN_N and graph.density <= SPARSE_MAX_DENSITY
         adjacency = (graph.sparse_adjacency if sparse
                      else graph.adjacency_matrix.astype(np.float32))
-        return cls(graph.n, adjacency, params.e, pcol)
+        return cls(graph.n, adjacency, params.e, pcol, protocol)
 
     def start(self, z0: int, reps: int) -> np.ndarray:
         """A writable (reps, n) block with every row in state ``z0``."""
@@ -184,6 +199,10 @@ class Kernel:
             ones = self._work["ones"] = np.ones(self.n, np.float32)
         return np.matmul(block, ones).astype(np.float64)
 
+    def _thresholds(self, e: float) -> np.ndarray:
+        """Version 2's thresholds at ``2·o + occupied``: ``pcol[o]``, ``e·pcol[o]``."""
+        return np.column_stack((self.pcol, e * self.pcol)).ravel()
+
     def step(
         self, occ: np.ndarray, rng: np.random.Generator, e: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -192,17 +211,20 @@ class Kernel:
         Returns ``(survivors, next_occ)``, both freshly allocated, so a
         caller may keep or write into them.  ``e`` replaces the extinction
         rate for this generation (importance sampling twists it).  One
-        ``rng.random`` call draws 2·reps·n uniforms for every patch
-        regardless of occupancy, the extinction phase's first, so the stream
-        consumption per generation is fixed.
+        ``rng.random`` call draws uniforms for every patch regardless of
+        occupancy, so the stream consumption per generation is fixed by the
+        block's shape: 2·reps·n under version 1, the extinction phase's
+        first, and reps·n under version 2.
         """
         k = occ.shape[0]
         work = self._work
         if work.get("rows", -1) < k:
             dense = isinstance(self.adjacency, np.ndarray)
             work.update(rows=k, u=np.empty(2 * occ.size), o=np.empty(occ.shape, np.intp),
-                        f=np.empty(occ.shape, self.adjacency.dtype) if dense else None)
-        u = rng.random(out=work["u"][:2 * occ.size]).reshape(2, *occ.shape)
+                        f=np.empty(occ.shape, self.adjacency.dtype) if dense else None,
+                        table=self._thresholds(self.e))
+        u = work["u"][:2 * occ.size].reshape(2, *occ.shape)
+        rng.random(out=u if self.protocol == 1 else u[0])
         o = work["o"][:k]
         survivors = u[0] >= (self.e if e is None else e)
         survivors &= occ
@@ -212,12 +234,22 @@ class Kernel:
             o[...] = survivors @ self.adjacency
         else:
             o[...] = np.matmul(survivors, self.adjacency, out=work["f"][:k])
-        # Counts never exceed the largest degree, so "clip" only skips the
-        # copy of ``out`` that the default "raise" mode makes.  The spent
-        # extinction uniforms take the lookup.
-        p = np.take(self.pcol, o, out=u[0], mode="clip")
+        # Counts never exceed the largest degree, so no index passes its
+        # table's end and "clip" only skips the copy of ``out`` that the
+        # default "raise" mode makes.
+        if self.protocol == 1:
+            # The spent extinction uniforms take the lookup.
+            p = np.take(self.pcol, o, out=u[0], mode="clip")
+            next_occ = u[1] < p
+        else:
+            # A patch that died has u < e, so u / e is a fresh uniform for its
+            # recolonisation; a survivor has u >= e >= its threshold.
+            table = work["table"] if e is None else self._thresholds(e)
+            o <<= 1
+            o |= occ
+            p = np.take(table, o, out=u[1], mode="clip")
+            next_occ = u[0] < p
         # Colonising a surviving patch changes nothing, so no ~survivors mask.
-        next_occ = u[1] < p
         next_occ |= survivors
         return survivors, next_occ
 
@@ -240,15 +272,16 @@ def simulate(
     z0: int,
     n_gen: int,
     rng: np.random.Generator,
+    protocol: int = RNG_PROTOCOL,
 ) -> Trajectory:
-    """Simulate ``n_gen`` generations from ``z0``.
+    """Simulate ``n_gen`` generations from ``z0`` under RNG ``protocol``.
 
     The empty state is absorbing; once reached, the remaining entries are
     filled without consuming further randomness.
     """
     if n_gen < 0:
         raise ValueError("n_gen must be >= 0")
-    kernel = Kernel.prepare(graph, params)
+    kernel = Kernel.prepare(graph, params, protocol)
     occ = kernel.start(z0, 1)
     states = [z0]
     state = z0
@@ -305,19 +338,20 @@ def estimate_crude(
     n_gen: int,
     n_reps: int,
     seed,
+    protocol: int = RNG_PROTOCOL,
 ) -> EstimateReport:
     """Persistence and occupancy by direct simulation of ``n_reps`` replicates.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``.  Replicates
     are partitioned into fixed blocks of ``BLOCK_REPS``; block ``b`` uses the
     ``b``-th spawn of the seed, so the result is a pure function of
-    ``(inputs, seed)`` no matter how the work is scheduled.
+    ``(inputs, seed, protocol)`` no matter how the work is scheduled.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     if n_gen < 0:
         raise ValueError("n_gen must be >= 0")
-    kernel = Kernel.prepare(graph, params)
+    kernel = Kernel.prepare(graph, params, protocol)
     n_blocks = -(-n_reps // BLOCK_REPS)
     streams = seed_sequence(seed).spawn(n_blocks)
 
@@ -332,19 +366,16 @@ def estimate_crude(
         counts = kernel.counts(occ)
         alive[0] += int((counts > 0).sum())
         occ_sum[0] += float(counts.sum())
-        t_stop = n_gen
         for t in range(1, n_gen + 1):
+            if not counts.any():
+                break  # a dead block adds only zeros, and its stream is its own
+            if kernel.protocol == 2 and not counts.all():
+                occ = occ[counts > 0]  # absorbed rows add zeros and draw nothing
             _, occ = kernel.step(occ, rng)
             counts = kernel.counts(occ)
             alive[t] += int((counts > 0).sum())
             occ_sum[t] += float(counts.sum())
-            if not counts.any():
-                t_stop = t
-                break
-        if t_stop == n_gen:
-            final_sq_sum += float((counts ** 2).sum())
-        # Blocks that died out contribute zeros to every later generation
-        # and zero squared occupancy at the horizon.
+        final_sq_sum += float((counts ** 2).sum())
 
     n_alive = int(alive[n_gen])
     p_hat = n_alive / n_reps

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Params, estimate_crude, write_csv
+from .dynamics import RNG_PROTOCOL, Params, estimate_crude, write_csv
 from .netgen import ConvergenceError, Graph, leading_adjacency_eigenvalue
 
 __all__ = [
@@ -329,15 +329,16 @@ def finite_horizon(
     pc = _popcounts(s, tm.n).astype(float)
     v = np.zeros(s)
     v[z0] = 1.0
-    p0s, occs = np.empty(n_gen + 1), np.empty(n_gen + 1)
+    p0s, persist, occs = np.empty(n_gen + 1), np.empty(n_gen + 1), np.empty(n_gen + 1)
     tail: dict[int, np.ndarray] = {}
     for t in range(n_gen + 1):
         if t > 0:
             v = tm.apply(v)
-        p0s[t], occs[t] = v[0], v @ pc
+        # Persistence sums its own states, so near extinction it keeps its
+        # own precision rather than the rounding of 1 - p_extinct.
+        p0s[t], persist[t], occs[t] = v[0], v[1:].sum(), v @ pc
         if keep_tail and t > n_gen - keep_tail and p0s[t] < 1.0:
             tail[t] = v[1:] / (1.0 - p0s[t])
-    persist = 1.0 - p0s
     cond = np.divide(occs, persist, out=np.zeros_like(occs), where=persist > 0.0)
     return HorizonTable(tm.n, np.arange(n_gen + 1), p0s, persist, occs, cond, tail)
 
@@ -557,13 +558,15 @@ def extinction_heatmap(
     method: str = "auto",
     n_reps: int = 10_000,
     seed=0,
+    protocol: int = RNG_PROTOCOL,
 ) -> HeatmapResult:
     """Extinction probability after ``n_gen`` generations over a grid.
 
     ``method='exact'`` builds the colonisation sweep tables once per ``c``
     and runs ``finite_horizon`` on them for every ``e``.  ``method='sim'``
-    estimates each cell with ``n_reps`` crude simulations.  ``'auto'``
-    picks exact when the state space fits under ``cap``.
+    estimates each cell with ``n_reps`` crude simulations under RNG
+    ``protocol``.  ``'auto'`` picks exact when the state space fits under
+    ``cap``.
     """
     e_grid = np.asarray(list(e_grid), dtype=float)
     c_grid = np.asarray(list(c_grid), dtype=float)
@@ -589,7 +592,7 @@ def extinction_heatmap(
             for j, c in enumerate(c_grid):
                 rep = estimate_crude(
                     graph, Params(e=float(e), c=float(c)), z0, n_gen,
-                    n_reps, cells[i * len(c_grid) + j],
+                    n_reps, cells[i * len(c_grid) + j], protocol,
                 )
                 p[i, j] = 1.0 - rep.persistence.value
     else:

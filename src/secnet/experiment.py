@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exact
-from .dynamics import Estimate, Params, all_occupied, estimate_crude, write_csv
+from .dynamics import RNG_PROTOCOL, Estimate, Params, all_occupied, estimate_crude, write_csv
 from .netgen import TopologySpec, density_to_n_edges, leading_adjacency_eigenvalue
 from .rareevent import default_twist_schedule, ips_persistence, is_extinction
 
@@ -87,7 +87,8 @@ class Design:
     from an explicit list of ``(e, c)`` pairs (for designs where the two
     move together).  Edge budgets come from ``densities`` (converted by
     round-half-up) or explicit ``n_edges_values``.  The initial state is
-    the fully occupied landscape.
+    the fully occupied landscape.  ``rng_protocol`` is the RNG protocol of
+    every simulated row.
     """
 
     name: str
@@ -106,6 +107,7 @@ class Design:
     escalate_below_events: int = 10
     master_seed: int = 0
     initial: str = "all_occupied"
+    rng_protocol: int = RNG_PROTOCOL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "topologies", tuple(self.topologies))
@@ -115,7 +117,7 @@ class Design:
         object.__setattr__(self, "n_edges_values", tuple(self.n_edges_values))
         counts = {name: getattr(self, name) for name in (
             "n", "n_gen", "n_network_replicates", "n_sim_reps", "exact_cap",
-            "escalate_below_events", "master_seed")}
+            "escalate_below_events", "master_seed", "rng_protocol")}
         counts.update((f"n_edges_values[{i}]", v) for i, v in enumerate(self.n_edges_values))
         not_int = [k for k, v in counts.items()
                    if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
@@ -146,6 +148,8 @@ class Design:
             raise ValueError("estimator must be auto, exact or crude")
         if self.initial != "all_occupied":
             raise ValueError("only the all_occupied initial state is supported")
+        if self.rng_protocol not in (1, 2):
+            raise ValueError(f"rng_protocol must be 1 or 2, got {self.rng_protocol}")
         if self.n_network_replicates < 1 or self.n_sim_reps < 1 or self.n_gen < 0:
             raise ValueError("replicate counts and horizon must be positive")
         if self.n < 2:
@@ -262,7 +266,8 @@ def _network_rows(task) -> list[ResultRow]:
                         persistence_method="exact", occupancy=float(table.mean_occ[-1]),
                         occupancy_se=0.0, cond_occupancy=float(table.cond_mean_occ[-1]))
         seed = _estimator_seed(design, cell.index, replicate)
-        report = estimate_crude(graph, params, z0, design.n_gen, design.n_sim_reps, seed)
+        protocol = design.rng_protocol
+        report = estimate_crude(graph, params, z0, design.n_gen, design.n_sim_reps, seed, protocol)
         pers = report.persistence
         survivors = pers.diagnostics["n_survivors"]
         extinct = pers.diagnostics["n_extinct"]
@@ -271,11 +276,12 @@ def _network_rows(task) -> list[ResultRow]:
         sub_seeds = seed.spawn(2)
         if survivors < cutoff:
             pers = ips_persistence(graph, params, z0, design.n_gen,
-                                   max(64, design.n_sim_reps // 20), sub_seeds[0])
+                                   max(64, design.n_sim_reps // 20), sub_seeds[0],
+                                   protocol=protocol)
         elif extinct < cutoff:
             ext = is_extinction(graph, params, z0, design.n_gen,
                                 default_twist_schedule(cell.e, design.n_gen),
-                                design.n_sim_reps, sub_seeds[1])
+                                design.n_sim_reps, sub_seeds[1], protocol)
             pers = Estimate(1.0 - ext.value, ext.se, "is", ext.n_work, ext.diagnostics)
         return dict(persistence=pers.value, persistence_se=pers.se,
                     persistence_method=pers.method, occupancy=report.occupancy.value,

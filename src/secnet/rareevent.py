@@ -23,6 +23,8 @@ prepared:
   the previous level until ``n_success`` crossings, and the estimate is
   the product of ``(n_success - 1) / (k_m - 1)`` over levels, the unbiased
   inverse-binomial rate estimate.
+
+Each takes a trailing ``protocol``, the RNG protocol of ``dynamics.Kernel``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BLOCK_REPS, Estimate, Kernel, Params, seed_sequence
+from .dynamics import BLOCK_REPS, RNG_PROTOCOL, Estimate, Kernel, Params, seed_sequence
 from .netgen import Graph
 
 __all__ = [
@@ -64,6 +66,7 @@ def ips_persistence(
     n_particles: int,
     seed,
     n_batches: int = 20,
+    protocol: int = RNG_PROTOCOL,
 ) -> Estimate:
     """Persistence probability by particle regeneration.
 
@@ -77,7 +80,7 @@ def ips_persistence(
         raise ValueError("n_particles must be >= 2")
     if n_batches < 2:
         raise ValueError("n_batches must be >= 2")
-    kernel = Kernel.prepare(graph, params)
+    kernel = Kernel.prepare(graph, params, protocol)
     streams = seed_sequence(seed).spawn(n_batches)
 
     estimates = np.empty(n_batches)
@@ -138,6 +141,7 @@ def is_extinction(
     schedule: Sequence[float],
     n_sims: int,
     seed,
+    protocol: int = RNG_PROTOCOL,
 ) -> Estimate:
     """Extinction probability by importance sampling.
 
@@ -157,7 +161,7 @@ def is_extinction(
         raise ValueError(f"schedule has {len(rates)} rates for {n_gen} generations")
     if n_sims < 2:
         raise ValueError("n_sims must be >= 2")
-    kernel = Kernel.prepare(graph, params)
+    kernel = Kernel.prepare(graph, params, protocol)
     e = params.e
     log_ratios = [
         (math.log(e) - math.log(et), math.log1p(-e) - math.log1p(-et))
@@ -176,17 +180,23 @@ def is_extinction(
         rng = np.random.default_rng(streams[b])
         occ = kernel.start(z0, reps)
         logw = np.zeros(reps)
+        rows = slice(None)  # the block's rows still stepped
         k = kernel.counts(occ)  # occupied before each extinction phase
         for t in range(n_gen):
             if not k.any():
                 break  # all absorbed; every remaining ratio is one
+            if kernel.protocol == 2 and not k.all():
+                # Absorbed rows keep the weight they died with and draw nothing.
+                live = k > 0
+                occ, k, rows = occ[live], k[live], np.arange(reps)[rows][live]
             survivors, occ = kernel.step(occ, rng, rates[t])
             s = kernel.counts(survivors)
             d = k - s
             ld, ls = log_ratios[t]
-            logw += d * ld + s * ls
+            logw[rows] += d * ld + s * ls
             k = kernel.counts(occ)
-        extinct = k == 0
+        extinct = np.ones(reps, dtype=bool)
+        extinct[rows] = k == 0
         w = np.where(extinct, np.exp(logw), 0.0)
         w_sum += float(w.sum())
         w_sq_sum += float((w * w).sum())
@@ -264,8 +274,9 @@ def _batch_crossings(
     entering at generation s takes its first step at s + 1.
 
     Every row is stepped every generation: the draws per generation are
-    fixed by the block's size, not by which rows move, and a row's next
-    state depends only on its own state and uniforms.  So a row that has not
+    fixed by the block's size, not by which rows move (2·k·n uniforms for k
+    rows of n patches under RNG protocol 1, k·n under protocol 2), and a
+    row's next state depends only on its own state and uniforms.  So a row that has not
     entered yet may evolve from anything, as long as its entry state is
     written back just before its first step at s + 1, and a crossed row may
     evolve on, since nothing reads it again.  Only rows that have entered
@@ -308,6 +319,7 @@ def split_extinction(
     config: SplittingConfig,
     seed,
     n_replications: int = 20,
+    protocol: int = RNG_PROTOCOL,
 ) -> Estimate:
     """Extinction probability by fixed-success multilevel splitting.
 
@@ -326,7 +338,7 @@ def split_extinction(
     """
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
-    kernel = Kernel.prepare(graph, params)
+    kernel = Kernel.prepare(graph, params, protocol)
     ns = config.n_success
     start_z = kernel.start(z0, ns)
     z0_count = int(start_z[0].sum())

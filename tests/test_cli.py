@@ -650,3 +650,45 @@ def test_rerun_replays_simulate_manifest(tmp_path, graph_file):
                "--out", str(out2)])
     assert rc == 0
     assert out2.read_bytes() == first
+
+
+def test_manifests_without_a_protocol_replay_under_version_1(tmp_path, graph_file):
+    # Manifests written before the RNG protocol was recorded drew under v1.
+    argv = ["simulate", "--graph", str(graph_file), "--e", "0.3", "--c", "0.4",
+            "--gens", "10", "--reps", "300", "--seed", "12"]
+    fresh, v1 = tmp_path / "fresh.csv", tmp_path / "v1.csv"
+    assert main(argv + ["--out", str(fresh), "--sample-trajectory",
+                        str(tmp_path / "t2.csv")]) == 0
+    assert main(argv + ["--out", str(v1), "--rng-protocol", "1", "--sample-trajectory",
+                        str(tmp_path / "t1.csv")]) == 0
+    assert fresh.read_bytes() != v1.read_bytes()
+    manifest = read_manifest(fresh)
+    assert manifest["args"]["rng_protocol"] == 2
+    del manifest["args"]["rng_protocol"]
+    manifest["args"]["sample_trajectory"] = str(tmp_path / "t_old.csv")
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest))
+    again = tmp_path / "again.csv"
+    assert main(["rerun", "--manifest", str(old), "--out", str(again)]) == 0
+    assert again.read_bytes() == v1.read_bytes()
+    assert (tmp_path / "t_old.csv").read_bytes() == (tmp_path / "t1.csv").read_bytes()
+
+
+def test_experiment_manifests_without_a_protocol_replay_under_version_1(tmp_path):
+    design = dict(small_design_dict(), estimator="crude")
+    design_path = tmp_path / "design.json"
+    design_path.write_text(json.dumps(design))
+    fresh, v1 = tmp_path / "fresh.csv", tmp_path / "v1.csv"
+    assert main(["experiment", "--design", str(design_path), "--out", str(fresh)]) == 0
+    assert main(["experiment", "--design", str(design_path), "--out", str(v1),
+                 "--rng-protocol", "1"]) == 0
+    assert fresh.read_bytes() != v1.read_bytes()
+    manifest = read_manifest(fresh)
+    assert manifest["args"]["design_inline"]["rng_protocol"] == 2
+    del manifest["args"]["rng_protocol"], manifest["args"]["design_inline"]["rng_protocol"]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest))
+    again = tmp_path / "again.csv"
+    assert main(["rerun", "--manifest", str(old), "--out", str(again)]) == 0
+    assert again.read_bytes() == v1.read_bytes()
+    assert read_manifest(v1)["args"]["design_inline"]["rng_protocol"] == 1

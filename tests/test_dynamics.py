@@ -1,5 +1,5 @@
 """Kernel-level tests: one-step law, trajectories, crude Monte Carlo, the
-pinned RNG protocol, the two neighbour-count forms and the kernel's module
+pinned RNG protocols, the two neighbour-count forms and the kernel's module
 boundary."""
 
 import ast
@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from secnet import exact
 from secnet.dynamics import (
     BLOCK_REPS,
+    RNG_PROTOCOL,
     Kernel,
     Params,
     all_occupied,
@@ -256,7 +258,7 @@ def test_rng_protocol_v1_outputs_are_pinned():
     want = PROTOCOL_V1
     crude_params = Params(0.3, 0.4)
     rare_params = Params(0.2, 0.3)
-    r = estimate_crude(G6, crude_params, full, 5, BLOCK_REPS + 100, seed=2024)
+    r = estimate_crude(G6, crude_params, full, 5, BLOCK_REPS + 100, seed=2024, protocol=1)
     got_crude = tuple(float(x) for est in (r.persistence, r.occupancy,
                                            r.conditional_occupancy)
                       for x in (est.value, est.se))
@@ -264,15 +266,16 @@ def test_rng_protocol_v1_outputs_are_pinned():
     assert tuple(r.persistence_series) == want["persistence_series"]
     assert tuple(r.occupancy_series) == want["occupancy_series"]
     assert tuple(r.conditional_occupancy_series) == want["conditional_occupancy_series"]
-    traj = simulate(G6, crude_params, 0b101101, 12, np.random.default_rng(7))
+    traj = simulate(G6, crude_params, 0b101101, 12, np.random.default_rng(7), protocol=1)
     assert traj.states == want["simulate"]
-    ips = ips_persistence(G6, Params(0.35, 0.3), full, 10, 50, seed=3, n_batches=4)
+    ips = ips_persistence(G6, Params(0.35, 0.3), full, 10, 50, seed=3, n_batches=4,
+                          protocol=1)
     assert (ips.value, ips.se) == want["ips"]
     is_ = is_extinction(G6, rare_params, full, 8,
-                        default_twist_schedule(0.2, 8), 300, seed=4)
+                        default_twist_schedule(0.2, 8), 300, seed=4, protocol=1)
     assert (is_.value, is_.se) == want["is"]
     sp = split_extinction(G6, rare_params, full, 10, SplittingConfig((4, 2), 10),
-                          seed=5, n_replications=3)
+                          seed=5, n_replications=3, protocol=1)
     assert (sp.value, sp.se) == want["split"]
 
 
@@ -315,7 +318,7 @@ def test_rng_protocol_v1_outputs_are_pinned_on_a_sparse_graph():
     want = PROTOCOL_V1_SPARSE
     params = Params(0.6, 0.08)
     rare_params = Params(0.45, 0.08)
-    r = estimate_crude(G300, params, z0, 6, BLOCK_REPS + 100, seed=2025)
+    r = estimate_crude(G300, params, z0, 6, BLOCK_REPS + 100, seed=2025, protocol=1)
     got_crude = tuple(float(x) for est in (r.persistence, r.occupancy,
                                            r.conditional_occupancy)
                       for x in (est.value, est.se))
@@ -323,18 +326,146 @@ def test_rng_protocol_v1_outputs_are_pinned_on_a_sparse_graph():
     assert tuple(r.persistence_series) == want["persistence_series"]
     assert tuple(r.occupancy_series) == want["occupancy_series"]
     assert tuple(r.conditional_occupancy_series) == want["conditional_occupancy_series"]
-    traj = simulate(G300, params, z0, 12, np.random.default_rng(8))
+    traj = simulate(G300, params, z0, 12, np.random.default_rng(8), protocol=1)
     assert tuple(traj.occupied_counts) == want["simulate_counts"]
     assert hashlib.sha256(repr(traj.states).encode()).hexdigest() == \
         want["simulate_sha256"]
-    ips = ips_persistence(G300, params, z0, 6, 50, seed=3, n_batches=4)
+    ips = ips_persistence(G300, params, z0, 6, 50, seed=3, n_batches=4, protocol=1)
     assert (ips.value, ips.se) == want["ips"]
     is_ = is_extinction(G300, rare_params, z0, 6, default_twist_schedule(0.45, 6),
-                        BLOCK_REPS + 100, seed=4)
+                        BLOCK_REPS + 100, seed=4, protocol=1)
     assert (is_.value, is_.se) == want["is"]
     sp = split_extinction(G300, rare_params, z0, 6, SplittingConfig((6, 2), 10),
-                          seed=5, n_replications=3)
+                          seed=5, n_replications=3, protocol=1)
     assert (sp.value, sp.se) == want["split"]
+
+
+# ---------------------------------------------------------------------------
+# RNG protocol v2
+# ---------------------------------------------------------------------------
+
+# Fixed-seed outputs of RNG protocol v2, from the same calls as the v1 tables.
+PROTOCOL_V2 = {
+"crude": (0.9306049822064056, 0.007579903501943359,
+          3.9813167259786475, 0.0515830007390756,
+          4.278202676864245, 0.04309517348314788),
+"persistence_series": (1.0, 1.0, 0.9937722419928826, 0.9804270462633452,
+                       0.9501779359430605, 0.9306049822064056),
+"occupancy_series": (6.0, 5.1637010676156585, 4.725978647686833,
+                     4.379003558718861, 4.181494661921708, 3.9813167259786475),
+"conditional_occupancy_series": (6.0, 5.1637010676156585, 4.755595344673232,
+                                 4.466424682395644, 4.400749063670412, 4.278202676864245),
+"simulate": (45, 53, 29, 28, 48, 48, 24, 0, 0, 0, 0, 0, 0),
+"ips": (0.5982524456133427, 0.04150554897756719),
+"is": (0.04573106920802566, 0.004702147959158338),
+"split": (0.07581571289724895, 0.020639553617103228),
+}
+
+PROTOCOL_V2_SPARSE = {
+"crude": (0.251779359430605, 0.01294618321291308,
+          0.6218861209964412, 0.040006915626348435,
+          2.469964664310954, 0.09554224155520122),
+"persistence_series": (1.0, 0.99644128113879, 0.9519572953736655,
+                       0.7829181494661922, 0.5845195729537367,
+                       0.398576512455516, 0.251779359430605),
+"occupancy_series": (12.0, 7.5338078291814945, 4.737544483985765,
+                     2.851423487544484, 1.6948398576512456,
+                     1.0160142348754448, 0.6218861209964412),
+"conditional_occupancy_series": (12.0, 7.560714285714286, 4.9766355140186915,
+                                 3.6420454545454546, 2.8995433789954337,
+                                 2.549107142857143, 2.469964664310954),
+"simulate_counts": (12, 3, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+"simulate_sha256": "7373e58d91b35e600df3ebd5fcf9de2f21c42ab524a8f097192a76661cb3a35f",
+"ips": (0.2271556832, 0.021915121387307467),
+"is": (0.2137522347092843, 0.009482433343950864),
+"split": (0.11782059404010625, 0.037916913991951365),
+}
+
+
+def _crude_outputs(r) -> dict:
+    return {"crude": tuple(float(x) for est in (r.persistence, r.occupancy,
+                                                r.conditional_occupancy)
+                           for x in (est.value, est.se)),
+            "persistence_series": tuple(r.persistence_series),
+            "occupancy_series": tuple(r.occupancy_series),
+            "conditional_occupancy_series": tuple(r.conditional_occupancy_series)}
+
+
+def test_rng_protocol_v2_is_the_default():
+    assert RNG_PROTOCOL == 2
+    assert Kernel.prepare(G6, Params(0.3, 0.4)).protocol == 2
+    for protocol in (0, 3, None):
+        with pytest.raises(ValueError):
+            Kernel.prepare(G6, Params(0.3, 0.4), protocol)
+
+
+def test_rng_protocol_v2_outputs_are_pinned():
+    full = all_occupied(6)
+    crude_params, rare_params = Params(0.3, 0.4), Params(0.2, 0.3)
+    got = _crude_outputs(estimate_crude(G6, crude_params, full, 5, BLOCK_REPS + 100,
+                                        seed=2024, protocol=2))
+    got["simulate"] = simulate(G6, crude_params, 0b101101, 12, np.random.default_rng(7),
+                               protocol=2).states
+    ips = ips_persistence(G6, Params(0.35, 0.3), full, 10, 50, seed=3, n_batches=4,
+                          protocol=2)
+    is_ = is_extinction(G6, rare_params, full, 8, default_twist_schedule(0.2, 8), 300,
+                        seed=4, protocol=2)
+    sp = split_extinction(G6, rare_params, full, 10, SplittingConfig((4, 2), 10),
+                          seed=5, n_replications=3, protocol=2)
+    got.update((name, (est.value, est.se)) for name, est in
+               (("ips", ips), ("is", is_), ("split", sp)))
+    assert got == PROTOCOL_V2
+
+
+def test_rng_protocol_v2_outputs_are_pinned_on_a_sparse_graph():
+    z0 = (1 << 12) - 1
+    params, rare_params = Params(0.6, 0.08), Params(0.45, 0.08)
+    got = _crude_outputs(estimate_crude(G300, params, z0, 6, BLOCK_REPS + 100,
+                                        seed=2025, protocol=2))
+    traj = simulate(G300, params, z0, 12, np.random.default_rng(8), protocol=2)
+    got["simulate_counts"] = tuple(traj.occupied_counts)
+    got["simulate_sha256"] = hashlib.sha256(repr(traj.states).encode()).hexdigest()
+    ips = ips_persistence(G300, params, z0, 6, 50, seed=3, n_batches=4, protocol=2)
+    is_ = is_extinction(G300, rare_params, z0, 6, default_twist_schedule(0.45, 6),
+                        BLOCK_REPS + 100, seed=4, protocol=2)
+    sp = split_extinction(G300, rare_params, z0, 6, SplittingConfig((6, 2), 10),
+                          seed=5, n_replications=3, protocol=2)
+    got.update((name, (est.value, est.se)) for name, est in
+               (("ips", ips), ("is", is_), ("split", sp)))
+    assert got == PROTOCOL_V2_SPARSE
+
+
+@pytest.mark.parametrize("protocol", [1, 2])
+@pytest.mark.parametrize("e", [0.0, 0.3, 1.0])
+def test_one_step_frequencies_match_the_exact_row(e, protocol):
+    # One uniform per patch under v2 must give the chain's law, including
+    # recolonisation of a patch that died in the same generation.
+    graph = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 2)))
+    params = Params(e, 0.5)
+    kernel = Kernel.prepare(graph, params, protocol)
+    rows = exact.build_transition(graph, params).M
+    draws, weights = 20_000, 1 << np.arange(4)
+    rng = np.random.default_rng(21)
+    for z in (0b1111, 0b0101, 0b1000, 0b0110):
+        _, nxt = kernel.step(kernel.start(z, draws), rng)
+        counts = np.bincount(nxt @ weights, minlength=16)
+        se = np.sqrt(draws * rows[z] * (1.0 - rows[z]))
+        assert np.all(np.abs(counts - draws * rows[z]) <= 4 * se), (z, counts)
+
+
+@pytest.mark.parametrize("protocol", [1, 2])
+def test_null_twist_weights_are_one_and_give_the_crude_frequency(protocol):
+    # With the schedule at e every likelihood ratio is exactly one, and IS
+    # steps the same rows on the same streams as crude, so the two count the
+    # same extinctions, replicate for replicate.
+    params, z0, n_gen, n = Params(0.3, 0.25), all_occupied(6), 12, BLOCK_REPS + 300
+    is_ = is_extinction(G6, params, z0, n_gen, (0.3,) * n_gen, n, seed=8, protocol=protocol)
+    crude = estimate_crude(G6, params, z0, n_gen, n, seed=8, protocol=protocol)
+    hits = is_.diagnostics["n_extinct_trajectories"]
+    assert hits == crude.persistence.diagnostics["n_extinct"] > 0
+    assert is_.value == hits / n
+    assert is_.diagnostics["max_weight"] == 1.0
+    assert is_.diagnostics["ess"] == hits
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +482,19 @@ def _hub_graph() -> Graph:
 @pytest.mark.parametrize("graph", [_hub_graph(), Graph(300, ()), G300],
                          ids=["hub", "no-edges", "G300"])
 def test_csr_and_dense_counts_step_alike(graph):
-    sparse = Kernel.prepare(graph, Params(0.05, 0.002))
-    assert not isinstance(sparse.adjacency, np.ndarray)
-    dense = dataclasses.replace(sparse, adjacency=graph.adjacency_matrix)
     occ = np.random.default_rng(1).random((BLOCK_REPS, graph.n)) < 0.97
     occ[::2, 0] = False  # an empty hub with most of its neighbours occupied
-    occ_s, occ_d = occ, occ.copy()
-    rng_s, rng_d = np.random.default_rng(2), np.random.default_rng(2)
-    for e in (None, 0.3, None):  # 0.3: the twisted rate importance sampling passes
-        surv_s, occ_s = sparse.step(occ_s, rng_s, e)
-        surv_d, occ_d = dense.step(occ_d, rng_d, e)
-        assert np.array_equal(surv_s, surv_d)
-        assert np.array_equal(occ_s, occ_d)
+    for protocol in (1, 2):
+        sparse = Kernel.prepare(graph, Params(0.05, 0.002), protocol)
+        assert not isinstance(sparse.adjacency, np.ndarray)
+        dense = dataclasses.replace(sparse, adjacency=graph.adjacency_matrix)
+        occ_s, occ_d = occ, occ.copy()
+        rng_s, rng_d = np.random.default_rng(2), np.random.default_rng(2)
+        for e in (None, 0.3, None):  # 0.3: the twisted rate importance sampling passes
+            surv_s, occ_s = sparse.step(occ_s, rng_s, e)
+            surv_d, occ_d = dense.step(occ_d, rng_d, e)
+            assert np.array_equal(surv_s, surv_d)
+            assert np.array_equal(occ_s, occ_d)
     if graph.degrees.max() > 255:  # the hub's counts must not wrap at 256
         hub_counts = (occ @ sparse.adjacency)[:, 0]
         assert hub_counts.min() > 255
@@ -468,12 +600,25 @@ def test_counts_are_float64_row_sums(graph):
                          ids=["dense", "G300"])
 @pytest.mark.parametrize("k", [1, 256, BLOCK_REPS])
 def test_a_step_reads_two_k_n_uniforms(graph, k):
-    kernel = Kernel.prepare(graph, Params(0.2, 0.1))
+    kernel = Kernel.prepare(graph, Params(0.2, 0.1), protocol=1)
     occ = np.random.default_rng(10).random((k, graph.n)) < 0.5
     rng, twin = np.random.default_rng(11), np.random.default_rng(11)
     for e in (None, 0.4):  # 0.4: the twisted rate importance sampling passes
         kernel.step(occ, rng, e)
         twin.random(2 * k * graph.n)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("graph", [_random_graph(100, 1500, seed=7), G300],
+                         ids=["dense", "G300"])
+@pytest.mark.parametrize("k", [1, 256, BLOCK_REPS])
+def test_a_protocol_2_step_reads_k_n_uniforms(graph, k):
+    kernel = Kernel.prepare(graph, Params(0.2, 0.1), protocol=2)
+    occ = np.random.default_rng(10).random((k, graph.n)) < 0.5
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    for e in (None, 0.4):  # 0.4: the twisted rate importance sampling passes
+        kernel.step(occ, rng, e)
+        twin.random(k * graph.n)
         assert rng.bit_generator.state == twin.bit_generator.state
 
 

@@ -209,26 +209,43 @@ def test_worker_pool_matches_serial_run(tmp_path, estimator):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_results_csv_is_pinned(tmp_path):
+def _pinned_rows_sha256(tmp_path, **overrides) -> str:
     # Every route: exact rows, crude rows, crude rows escalated to IPS and
     # to IS, and a failed row (the exact estimator over the cap).  The exact
     # cells follow the exact operator's summation order, so a change to
     # that order moves them in the last bits and needs a new hash.
     designs = [
-        small_design(topologies=(ER, LAT), c_values=(0.3, 0.5)),
+        small_design(topologies=(ER, LAT), c_values=(0.3, 0.5), **overrides),
         small_design(n=8, n_edges_values=(12,), estimator="crude", n_gen=40,
                      topologies=(ER, LAT), e_values=(), c_values=(),
                      ec_pairs=((0.3, 0.3), (0.85, 0.02), (0.02, 0.6)),
-                     n_sim_reps=400),
+                     n_sim_reps=400, **overrides),
         small_design(n=16, n_edges_values=(30,), e_values=(0.2,),
-                     n_network_replicates=1),
+                     n_network_replicates=1, **overrides),
     ]
     rows = [row for d in designs for row in run_factorial(d)]
     assert {r.persistence_method for r in rows} == {"exact", "crude", "ips", "is", "failed"}
     path = tmp_path / "rows.csv"
     write_results_csv(rows, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "12a001f4759717e1994e84d5c5047162356040e463c106c14d9de49eec98bec7"
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_results_csv_is_pinned(tmp_path):
+    assert _pinned_rows_sha256(tmp_path) == \
+        "8546768d521365086031cc1f8a4f4a9cc4179b6e72085bf8afd59539a6641950"
+
+
+def test_results_csv_under_rng_protocol_1_is_pinned(tmp_path):
+    # The same rows drawn under protocol 1: its crude, IPS and IS cells are
+    # the ones every release before protocol 2 wrote.
+    assert _pinned_rows_sha256(tmp_path, rng_protocol=1) == \
+        "a8c9aa7b36392ca406bfe0c90a68011d873c059d12f8856feaff5ad146131069"
+
+
+@pytest.mark.parametrize("protocol", [0, 3, True, 2.0])
+def test_design_rejects_unknown_rng_protocols(protocol):
+    with pytest.raises(ValueError):
+        small_design(rng_protocol=protocol)
 
 
 def test_each_network_is_built_once(monkeypatch):
