@@ -18,7 +18,8 @@ The RNG protocol fixes which sample a seed draws, never its law.  Version
 replicate.  Version 2 (``RNG_PROTOCOL``) draws one: a patch survives iff
 ``u >= e``, and as ``u / e`` is uniform given ``u < e`` (Devroye 1986), one
 that died is recolonised iff ``u < e * pcol[o]``; ``estimate_crude`` and
-``is_extinction`` also stop stepping absorbed replicates.
+``is_extinction`` also stop stepping absorbed replicates.  Version 2 steps
+large blocks in row chunks, which read the stream in one call's order.
 
 States are integer bitmasks (bit ``i`` set means patch ``i`` is occupied);
 state ``0`` is absorbing.  ``simulate`` follows a single state,
@@ -72,15 +73,21 @@ BLOCK_REPS = 1024
 RNG_PROTOCOL = 2
 
 # ``Kernel`` counts neighbours by CSR from SPARSE_MIN_N patches up to this density.
-# Against float32 dense counts, steps of 1024 replicates ran 1.4-2.3x faster by CSR
-# inside the bounds (n = 300-2000), 0.87-1.17x at n = 200, density 0.05-0.3, and
-# 0.86-0.97x at n = 100, density 0.1-0.3 (one BLAS thread).  Equal counts: a speed
-# cut-off only.  The dense path stays for small graphs: a step at n = 10, density
-# 0.7, took 8 / 27 / 85 us dense against 28 / 50 / 119 us by CSR for 1 / 256 /
-# 1024 replicates, and 75 against 97 us at n = 100, density 0.3, for IPS's 64
-# (best of 5 x 200 steps, one BLAS thread); the CSR also imports scipy.
+# Against float32 dense counts, chunked steps of 1024 replicates ran 1.8-2.2x faster
+# by CSR inside the bounds (n = 300-500, density 0.02), 1.4-2.1x at density 0.03-0.05,
+# 1.4-1.5x at n = 200, density 0.02-0.05, and 0.89-1.17x at n = 100, density 0.1-0.3.
+# Equal counts: a speed cut-off only.  The dense path stays for small graphs: a step
+# at n = 10, density 0.7, took 9-10 / 23-27 / 69-72 us dense against 12-15 / 30-33 /
+# 79-133 us by CSR for 1 / 256 / 1024 replicates, and 64-66 against 68-82 us at n =
+# 100, density 0.3, for IPS's 64 (best of 5 x 200 steps, one BLAS thread); the CSR
+# also imports scipy.
 SPARSE_MIN_N = 300
 SPARSE_MAX_DENSITY = 0.025
+
+# Under version 2 a block of more than this many patches (reps x n) steps in row
+# chunks of about this size, so its work arrays (about 27 bytes a patch) stay in
+# a 2 MiB L2.  ``random`` fills in C order, so the chunks draw the same stream.
+CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -158,10 +165,10 @@ class Kernel:
     protocol ``step`` follows (see the module docstring).
 
     ``step`` reuses one set of work buffers, sized for the largest block
-    stepped so far and sliced for smaller ones: 2·k·n floats (version 1's
-    uniforms, or version 2's uniforms and thresholds), the integer counts
-    and, on the dense path, the float counts.  ``dataclasses.replace``
-    gives the copy an empty set.
+    (under version 2, the largest chunk) stepped so far and sliced for
+    smaller ones: 2·k·n floats for k rows (version 1's uniforms, or version
+    2's uniforms and thresholds), the integer counts and, on the dense path,
+    the float counts.  ``dataclasses.replace`` gives the copy an empty set.
     """
 
     n: int
@@ -210,13 +217,19 @@ class Kernel:
 
         Returns ``(survivors, next_occ)``, both freshly allocated, so a
         caller may keep or write into them.  ``e`` replaces the extinction
-        rate for this generation (importance sampling twists it).  One
-        ``rng.random`` call draws uniforms for every patch regardless of
-        occupancy, so the stream consumption per generation is fixed by the
-        block's shape: 2·reps·n under version 1, the extinction phase's
-        first, and reps·n under version 2.
+        rate for this generation (importance sampling twists it).  Uniforms
+        are drawn for every patch regardless of occupancy, in stream order,
+        so the consumption per generation is fixed by the block's shape:
+        2·reps·n under version 1 (one call, the extinction phase's first)
+        and reps·n under version 2, in row chunks past ``CHUNK_ELEMENTS``.
         """
         k = occ.shape[0]
+        if k * self.n > CHUNK_ELEMENTS and k > 1 and self.protocol == 2:
+            rows = max(1, CHUNK_ELEMENTS // self.n)
+            survivors, next_occ = np.empty(occ.shape, bool), np.empty(occ.shape, bool)
+            for a in range(0, k, rows):
+                survivors[a:a + rows], next_occ[a:a + rows] = self.step(occ[a:a + rows], rng, e)
+            return survivors, next_occ
         work = self._work
         if work.get("rows", -1) < k:
             dense = isinstance(self.adjacency, np.ndarray)
@@ -229,9 +242,10 @@ class Kernel:
         survivors = u[0] >= (self.e if e is None else e)
         survivors &= occ
         if work["f"] is None:
-            # A block times a CSR comes back F-ordered; the cast puts it in
-            # the block's C order before it meets the uniforms.
-            o[...] = survivors @ self.adjacency
+            # The adjacency is symmetric, so the CSR times the block's transpose
+            # (scipy's row-wise product, faster than block times CSR) gives the
+            # counts transposed; the cast puts them back in the block's C order.
+            o[...] = (self.adjacency @ survivors.T).T
         else:
             o[...] = np.matmul(survivors, self.adjacency, out=work["f"][:k])
         # Counts never exceed the largest degree, so no index passes its

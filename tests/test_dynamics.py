@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secnet import exact
+from secnet import dynamics, exact
 from secnet.dynamics import (
     BLOCK_REPS,
     RNG_PROTOCOL,
@@ -620,6 +620,61 @@ def test_a_protocol_2_step_reads_k_n_uniforms(graph, k):
         kernel.step(occ, rng, e)
         twin.random(k * graph.n)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def _chunk_sizes(n: int, k: int):
+    """``CHUNK_ELEMENTS`` for 1-row chunks (also when a row alone is larger),
+    7-row chunks and one whole block."""
+    return {"1 row": n, "half a row": n // 2, "7 rows": 7 * n, "whole": k * n}
+
+
+@pytest.mark.parametrize("graph", [_random_graph(100, 1500, seed=7), G300],
+                         ids=["dense", "G300"])
+def test_chunked_steps_draw_what_one_block_draws(graph, monkeypatch):
+    k = BLOCK_REPS + 100  # 1124 rows: the 7-row chunks end on a ragged one of 4
+    occ = np.random.default_rng(6).random((k, graph.n)) < 0.6
+    got = {}
+    for protocol in (1, 2):  # version 1 draws every extinction uniform first: never chunked
+        for name, elements in _chunk_sizes(graph.n, k).items():
+            monkeypatch.setattr(dynamics, "CHUNK_ELEMENTS", elements)
+            kernel = Kernel.prepare(graph, Params(0.3, 0.05), protocol)
+            rng = np.random.default_rng(5)
+            steps = []
+            for e in (None, 0.45):  # 0.45: the twisted rate importance sampling passes
+                survivors, nxt = kernel.step(occ, rng, e)
+                steps.append((survivors, nxt, rng.bit_generator.state))
+            got[protocol, name] = steps
+        whole = got[protocol, "whole"]
+        for name in ("1 row", "half a row", "7 rows"):
+            for (s, x, state), (s0, x0, state0) in zip(got[protocol, name], whole):
+                assert np.array_equal(s, s0) and np.array_equal(x, x0)
+                assert state == state0
+
+
+def test_chunked_estimators_match_one_block(monkeypatch):
+    z0 = (1 << 12) - 1
+    schedule = default_twist_schedule(0.45, 6)
+    got = {}
+    for name, elements in _chunk_sizes(G300.n, BLOCK_REPS).items():
+        monkeypatch.setattr(dynamics, "CHUNK_ELEMENTS", elements)
+        r = estimate_crude(G300, Params(0.6, 0.08), z0, 6, BLOCK_REPS + 100, seed=2025)
+        is_ = is_extinction(G300, Params(0.45, 0.08), z0, 6, schedule, BLOCK_REPS + 100,
+                            seed=4)
+        got[name] = (r.persistence, r.occupancy, r.conditional_occupancy,
+                     r.persistence_series.tolist(), r.occupancy_series.tolist(), is_)
+    assert all(got[name] == got["whole"] for name in got)
+
+
+@pytest.mark.parametrize("graph", [_random_graph(100, 1500, seed=7), G300],
+                         ids=["dense", "G300"])
+def test_chunked_work_buffers_stay_chunk_sized(graph):
+    kernel = Kernel.prepare(graph, Params(0.3, 0.05))
+    occ = np.random.default_rng(6).random((BLOCK_REPS, graph.n)) < 0.6
+    assert occ.size > dynamics.CHUNK_ELEMENTS
+    for e in (None, 0.45):
+        kernel.step(occ, np.random.default_rng(5), e)
+    sizes = {name: b.size for name, b in kernel._work.items() if isinstance(b, np.ndarray)}
+    assert sizes and max(sizes.values()) <= 2 * dynamics.CHUNK_ELEMENTS, sizes
 
 
 def test_no_module_imports_another_modules_private_names():
